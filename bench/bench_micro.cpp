@@ -8,7 +8,6 @@
 #include "src/common/uuid.h"
 #include "src/crypto/aes.h"
 #include "src/crypto/bigint.h"
-#include "src/crypto/hmac.h"
 #include "src/crypto/rsa.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
@@ -39,16 +38,6 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(512)->Arg(4096);
-
-void BM_HmacSha1(benchmark::State& state) {
-  Rng rng(3);
-  const Bytes key = rng.next_bytes(20);
-  const Bytes data = rng.next_bytes(512);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::hmac_sha1(key, data));
-  }
-}
-BENCHMARK(BM_HmacSha1);
 
 void BM_AesCbcEncrypt(benchmark::State& state) {
   Rng rng(4);
@@ -114,7 +103,7 @@ void BM_MontgomeryModExp(benchmark::State& state) {
   const crypto::BigInt base = crypto::BigInt::random_below(rng, n);
   const crypto::BigInt exp = crypto::BigInt::random_bits(
       rng, static_cast<std::size_t>(state.range(0)));
-  const crypto::Montgomery mont(n);
+  const crypto::Montgomery64 mont(n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(mont.pow(base, exp));
   }

@@ -5,9 +5,8 @@
 //   * inline reference filter — every message pays the full token chain
 //     (TDN + CA + owner signatures) plus a delegate-signature verify;
 //   * batched pipeline — messages are admitted into the per-broker queue
-//     and drained in key-grouped batches: the chain and the delegate
-//     key's Montgomery context are built once per key per drain, each
-//     message then pays one context-amortized signature verify.
+//     and drained in key-grouped batches: the chain is evaluated once per
+//     key per drain, each message then pays one signature verify.
 // Caching is disabled on both sides so the measurement isolates the
 // batching/amortization win (E10 measures the token-verdict cache).
 //

@@ -11,7 +11,9 @@
 #             end-to-end framing tests) with a hard timeout; skipped
 #             gracefully where loopback sockets are unavailable
 #   asan    — ET_SANITIZE=address build of the codec-edge and robustness
-#             suites: over-read probes on the framing/view decoders
+#             suites (over-read probes on the framing/view decoders) and
+#             the crypto suites (the Montgomery64 kernel indexes stack
+#             arrays by a runtime limb count)
 #   tsan    — ET_SANITIZE=thread build running the concurrency-sensitive
 #             suites, including the socket backend and the RealTimeNetwork
 #             chaos scenario and overlay-repair smokes
@@ -77,9 +79,12 @@ run_asan() {
   # overlong cases, corrupted-frame parses, and the wire robustness
   # suites — the decoders' no-over-read contract, enforced. The Persist
   # suites add the WAL/snapshot/ledger decoders fed truncated, bit-flipped
-  # and garbage inputs (DESIGN.md §16).
+  # and garbage inputs (DESIGN.md §16). The crypto suites run the
+  # Montgomery64 kernel, whose fixed-capacity stack arrays are indexed by
+  # the modulus's runtime limb count, and the AES T-table rounds, against
+  # the classical reference, the golden outputs and corrupted signatures.
   ctest --test-dir build-asan --output-on-failure --timeout 300 -R \
-    'FrameAssembler|FrameCodec|Robustness|Persist'
+    'FrameAssembler|FrameCodec|Robustness|Persist|BigInt|Rsa|Aes|Corruption'
 }
 
 run_tsan() {

@@ -1,5 +1,6 @@
 #include "src/crypto/aes.h"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -55,11 +56,11 @@ constexpr std::uint8_t kInvSbox[256] = {
     0x17, 0x2b, 0x04, 0x7e, 0xba, 0x77, 0xd6, 0x26, 0xe1, 0x69, 0x14, 0x63,
     0x55, 0x21, 0x0c, 0x7d};
 
-std::uint8_t xtime(std::uint8_t x) {
+constexpr std::uint8_t xtime(std::uint8_t x) {
   return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) ? 0x1b : 0x00));
 }
 
-std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
+constexpr std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
   std::uint8_t p = 0;
   for (int i = 0; i < 8; ++i) {
     if (b & 1) p ^= a;
@@ -67,6 +68,70 @@ std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
     b >>= 1;
   }
   return p;
+}
+
+// A state column or key word is one big-endian 32-bit word: row 0 in the
+// top byte.
+constexpr std::uint32_t pack(std::uint8_t b0, std::uint8_t b1,
+                             std::uint8_t b2, std::uint8_t b3) {
+  return static_cast<std::uint32_t>(b0) << 24 |
+         static_cast<std::uint32_t>(b1) << 16 |
+         static_cast<std::uint32_t>(b2) << 8 | b3;
+}
+
+constexpr std::uint8_t byte_of(std::uint32_t w, int row) {
+  return static_cast<std::uint8_t>(w >> (24 - 8 * row));
+}
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return pack(p[0], p[1], p[2], p[3]);
+}
+
+void store_be32(std::uint8_t* p, std::uint32_t w) {
+  for (int row = 0; row < 4; ++row) p[row] = byte_of(w, row);
+}
+
+// T-tables: te[r][x] is the MixColumns image of a column holding S[x] in
+// row r and zeros elsewhere, so a round is 16 lookups and 16 XORs per
+// block. td[r][x] does the same for InvS[x] and InvMixColumns. Table r is
+// table 0 rotated right by 8r bits. Built at compile time from the
+// S-boxes above. The lookups are key- and data-dependent, so they leak
+// through cache timing (not side-channel hardened).
+struct RoundTables {
+  std::uint32_t te[4][256];
+  std::uint32_t td[4][256];
+};
+
+constexpr RoundTables make_round_tables() {
+  RoundTables t{};
+  for (int x = 0; x < 256; ++x) {
+    const std::uint8_t s = kSbox[x];
+    const std::uint8_t si = kInvSbox[x];
+    const std::uint32_t e = pack(gmul(s, 2), s, s, gmul(s, 3));
+    const std::uint32_t d =
+        pack(gmul(si, 14), gmul(si, 9), gmul(si, 13), gmul(si, 11));
+    for (int r = 0; r < 4; ++r) {
+      t.te[r][x] = std::rotr(e, 8 * r);
+      t.td[r][x] = std::rotr(d, 8 * r);
+    }
+  }
+  return t;
+}
+
+constexpr RoundTables kTables = make_round_tables();
+
+std::uint32_t sub_word(std::uint32_t w) {
+  return pack(kSbox[byte_of(w, 0)], kSbox[byte_of(w, 1)],
+              kSbox[byte_of(w, 2)], kSbox[byte_of(w, 3)]);
+}
+
+// InvMixColumns of one word: td[r][S[b]] is InvMixColumns of byte b in
+// row r, since InvSubBytes undoes the S-box.
+std::uint32_t inv_mix_column(std::uint32_t w) {
+  return kTables.td[0][kSbox[byte_of(w, 0)]] ^
+         kTables.td[1][kSbox[byte_of(w, 1)]] ^
+         kTables.td[2][kSbox[byte_of(w, 2)]] ^
+         kTables.td[3][kSbox[byte_of(w, 3)]];
 }
 
 }  // namespace
@@ -79,97 +144,112 @@ Aes::Aes(BytesView key) {
   key_bits_ = key.size() * 8;
   rounds_ = nk + 6;
 
-  // Key expansion into (rounds_+1)*16 bytes of round keys, word-wise.
+  // Key expansion (FIPS 197 §5.2) into (rounds_+1)*4 words.
   const std::size_t total_words = (rounds_ + 1) * 4;
-  std::memcpy(round_keys_.data(), key.data(), key.size());
+  for (std::size_t i = 0; i < nk; ++i) enc_keys_[i] = load_be32(&key[4 * i]);
   std::uint8_t rcon = 0x01;
   for (std::size_t i = nk; i < total_words; ++i) {
-    std::uint8_t temp[4];
-    std::memcpy(temp, round_keys_.data() + (i - 1) * 4, 4);
+    std::uint32_t temp = enc_keys_[i - 1];
     if (i % nk == 0) {
-      // RotWord + SubWord + Rcon
-      const std::uint8_t t0 = temp[0];
-      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ rcon);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t0];
+      temp = sub_word(std::rotl(temp, 8)) ^ pack(rcon, 0, 0, 0);
       rcon = xtime(rcon);
     } else if (nk > 6 && i % nk == 4) {
-      for (auto& t : temp) t = kSbox[t];
+      temp = sub_word(temp);
     }
-    for (int b = 0; b < 4; ++b) {
-      round_keys_[i * 4 + b] = static_cast<std::uint8_t>(
-          round_keys_[(i - nk) * 4 + b] ^ temp[b]);
+    enc_keys_[i] = enc_keys_[i - nk] ^ temp;
+  }
+
+  // Equivalent inverse cipher (FIPS 197 §5.3.5): round keys in reverse
+  // order, InvMixColumns applied to all but the first and the last.
+  for (std::size_t round = 0; round <= rounds_; ++round) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      const std::uint32_t w = enc_keys_[(rounds_ - round) * 4 + c];
+      dec_keys_[round * 4 + c] =
+          (round == 0 || round == rounds_) ? w : inv_mix_column(w);
     }
   }
 }
 
 void Aes::encrypt_block(std::uint8_t block[16]) const {
-  auto add_round_key = [&](std::size_t round) {
-    for (int i = 0; i < 16; ++i) block[i] ^= round_keys_[round * 16 + i];
-  };
-
-  add_round_key(0);
-  for (std::size_t round = 1; round <= rounds_; ++round) {
-    // SubBytes
-    for (int i = 0; i < 16; ++i) block[i] = kSbox[block[i]];
-    // ShiftRows (column-major state: byte index = col*4 + row)
-    std::uint8_t tmp[16];
-    for (int col = 0; col < 4; ++col) {
-      for (int row = 0; row < 4; ++row) {
-        tmp[col * 4 + row] = block[((col + row) % 4) * 4 + row];
-      }
-    }
-    std::memcpy(block, tmp, 16);
-    // MixColumns (skipped in the final round)
-    if (round != rounds_) {
-      for (int col = 0; col < 4; ++col) {
-        std::uint8_t* c = block + col * 4;
-        const std::uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-        c[0] = static_cast<std::uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-        c[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-        c[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-        c[3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-      }
-    }
-    add_round_key(round);
+  const auto& te = kTables.te;
+  const std::uint32_t* rk = enc_keys_.data();
+  std::uint32_t s0 = load_be32(block) ^ rk[0];
+  std::uint32_t s1 = load_be32(block + 4) ^ rk[1];
+  std::uint32_t s2 = load_be32(block + 8) ^ rk[2];
+  std::uint32_t s3 = load_be32(block + 12) ^ rk[3];
+  // SubBytes + ShiftRows + MixColumns + AddRoundKey: column c takes row r
+  // from column c + r.
+  for (std::size_t round = 1; round < rounds_; ++round) {
+    rk += 4;
+    const std::uint32_t t0 = te[0][byte_of(s0, 0)] ^ te[1][byte_of(s1, 1)] ^
+                             te[2][byte_of(s2, 2)] ^ te[3][byte_of(s3, 3)] ^
+                             rk[0];
+    const std::uint32_t t1 = te[0][byte_of(s1, 0)] ^ te[1][byte_of(s2, 1)] ^
+                             te[2][byte_of(s3, 2)] ^ te[3][byte_of(s0, 3)] ^
+                             rk[1];
+    const std::uint32_t t2 = te[0][byte_of(s2, 0)] ^ te[1][byte_of(s3, 1)] ^
+                             te[2][byte_of(s0, 2)] ^ te[3][byte_of(s1, 3)] ^
+                             rk[2];
+    const std::uint32_t t3 = te[0][byte_of(s3, 0)] ^ te[1][byte_of(s0, 1)] ^
+                             te[2][byte_of(s1, 2)] ^ te[3][byte_of(s2, 3)] ^
+                             rk[3];
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
   }
+  // Final round: no MixColumns.
+  rk += 4;
+  auto last = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                 std::uint32_t d) {
+    return pack(kSbox[byte_of(a, 0)], kSbox[byte_of(b, 1)],
+                kSbox[byte_of(c, 2)], kSbox[byte_of(d, 3)]);
+  };
+  store_be32(block, last(s0, s1, s2, s3) ^ rk[0]);
+  store_be32(block + 4, last(s1, s2, s3, s0) ^ rk[1]);
+  store_be32(block + 8, last(s2, s3, s0, s1) ^ rk[2]);
+  store_be32(block + 12, last(s3, s0, s1, s2) ^ rk[3]);
 }
 
 void Aes::decrypt_block(std::uint8_t block[16]) const {
-  auto add_round_key = [&](std::size_t round) {
-    for (int i = 0; i < 16; ++i) block[i] ^= round_keys_[round * 16 + i];
-  };
-
-  add_round_key(rounds_);
-  for (std::size_t round = rounds_; round-- > 0;) {
-    // InvShiftRows
-    std::uint8_t tmp[16];
-    for (int col = 0; col < 4; ++col) {
-      for (int row = 0; row < 4; ++row) {
-        tmp[((col + row) % 4) * 4 + row] = block[col * 4 + row];
-      }
-    }
-    std::memcpy(block, tmp, 16);
-    // InvSubBytes
-    for (int i = 0; i < 16; ++i) block[i] = kInvSbox[block[i]];
-    add_round_key(round);
-    // InvMixColumns (skipped before round 0's AddRoundKey, i.e. when done)
-    if (round != 0) {
-      for (int col = 0; col < 4; ++col) {
-        std::uint8_t* c = block + col * 4;
-        const std::uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-        c[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^
-                                         gmul(a2, 13) ^ gmul(a3, 9));
-        c[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^
-                                         gmul(a2, 11) ^ gmul(a3, 13));
-        c[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^
-                                         gmul(a2, 14) ^ gmul(a3, 11));
-        c[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^
-                                         gmul(a2, 9) ^ gmul(a3, 14));
-      }
-    }
+  const auto& td = kTables.td;
+  const std::uint32_t* rk = dec_keys_.data();
+  std::uint32_t s0 = load_be32(block) ^ rk[0];
+  std::uint32_t s1 = load_be32(block + 4) ^ rk[1];
+  std::uint32_t s2 = load_be32(block + 8) ^ rk[2];
+  std::uint32_t s3 = load_be32(block + 12) ^ rk[3];
+  // InvSubBytes + InvShiftRows + InvMixColumns + AddRoundKey: column c
+  // takes row r from column c - r.
+  for (std::size_t round = 1; round < rounds_; ++round) {
+    rk += 4;
+    const std::uint32_t t0 = td[0][byte_of(s0, 0)] ^ td[1][byte_of(s3, 1)] ^
+                             td[2][byte_of(s2, 2)] ^ td[3][byte_of(s1, 3)] ^
+                             rk[0];
+    const std::uint32_t t1 = td[0][byte_of(s1, 0)] ^ td[1][byte_of(s0, 1)] ^
+                             td[2][byte_of(s3, 2)] ^ td[3][byte_of(s2, 3)] ^
+                             rk[1];
+    const std::uint32_t t2 = td[0][byte_of(s2, 0)] ^ td[1][byte_of(s1, 1)] ^
+                             td[2][byte_of(s0, 2)] ^ td[3][byte_of(s3, 3)] ^
+                             rk[2];
+    const std::uint32_t t3 = td[0][byte_of(s3, 0)] ^ td[1][byte_of(s2, 1)] ^
+                             td[2][byte_of(s1, 2)] ^ td[3][byte_of(s0, 3)] ^
+                             rk[3];
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
   }
+  // Final round: no InvMixColumns.
+  rk += 4;
+  auto last = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                 std::uint32_t d) {
+    return pack(kInvSbox[byte_of(a, 0)], kInvSbox[byte_of(b, 1)],
+                kInvSbox[byte_of(c, 2)], kInvSbox[byte_of(d, 3)]);
+  };
+  store_be32(block, last(s0, s3, s2, s1) ^ rk[0]);
+  store_be32(block + 4, last(s1, s0, s3, s2) ^ rk[1]);
+  store_be32(block + 8, last(s2, s1, s0, s3) ^ rk[2]);
+  store_be32(block + 12, last(s3, s2, s1, s0) ^ rk[3]);
 }
 
 Bytes aes_cbc_encrypt(const Aes& cipher, BytesView plaintext, Rng& rng) {
@@ -201,26 +281,17 @@ Bytes aes_cbc_decrypt(const Aes& cipher, BytesView ciphertext) {
   if (ciphertext.size() < 2 * kBlock || ciphertext.size() % kBlock != 0) {
     throw std::invalid_argument("aes_cbc_decrypt: bad ciphertext length");
   }
-  Bytes out;
-  out.reserve(ciphertext.size() - kBlock);
-
-  std::uint8_t prev[kBlock];
-  std::memcpy(prev, ciphertext.data(), kBlock);  // IV
-  for (std::size_t off = kBlock; off < ciphertext.size(); off += kBlock) {
-    std::uint8_t block[kBlock];
-    std::memcpy(block, ciphertext.data() + off, kBlock);
-    std::uint8_t saved[kBlock];
-    std::memcpy(saved, block, kBlock);
+  // Block i decrypts against ciphertext block i - 1 (the IV for i = 0).
+  Bytes out(ciphertext.size() - kBlock);
+  for (std::size_t off = 0; off < out.size(); off += kBlock) {
+    std::uint8_t* block = out.data() + off;
+    std::memcpy(block, ciphertext.data() + kBlock + off, kBlock);
     cipher.decrypt_block(block);
-    for (std::size_t i = 0; i < kBlock; ++i) {
-      out.push_back(static_cast<std::uint8_t>(block[i] ^ prev[i]));
-    }
-    std::memcpy(prev, saved, kBlock);
+    for (std::size_t i = 0; i < kBlock; ++i) block[i] ^= ciphertext[off + i];
   }
 
-  if (out.empty()) throw std::invalid_argument("aes_cbc_decrypt: empty");
   const std::uint8_t pad = out.back();
-  if (pad == 0 || pad > kBlock || pad > out.size()) {
+  if (pad == 0 || pad > kBlock) {
     throw std::invalid_argument("aes_cbc_decrypt: bad padding");
   }
   for (std::size_t i = out.size() - pad; i < out.size(); ++i) {

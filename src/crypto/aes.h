@@ -2,8 +2,10 @@
 //
 // The paper secures trace payloads with "192-bit AES keys" (§6.1); this
 // implementation supports 128/192/256-bit keys. CBC ciphertexts carry the
-// random IV as their first block. Straightforward S-box implementation —
-// not side-channel hardened (see the crypto disclaimer in DESIGN.md).
+// random IV as their first block. Rounds run on 32-bit T-tables, and
+// decryption uses the equivalent inverse cipher. Table lookups leak
+// through cache timing: not side-channel hardened (see the crypto
+// disclaimer in DESIGN.md).
 #pragma once
 
 #include <array>
@@ -32,8 +34,10 @@ class Aes {
  private:
   std::size_t rounds_;
   std::size_t key_bits_;
-  // Maximum schedule: AES-256 has 15 round keys of 16 bytes.
-  std::array<std::uint8_t, 240> round_keys_{};
+  // Big-endian key words; AES-256 has 15 round keys of 4 words.
+  std::array<std::uint32_t, 60> enc_keys_{};
+  // Equivalent-inverse-cipher schedule (FIPS 197 §5.3.5).
+  std::array<std::uint32_t, 60> dec_keys_{};
 };
 
 /// CBC + PKCS#7 encryption. Output = IV || ciphertext. IV drawn from `rng`.

@@ -346,93 +346,248 @@ std::string BigInt::to_hex() const {
 // ---------------------------------------------------------------------------
 
 namespace {
-// -n^{-1} mod 2^32 by Newton iteration (n odd).
-std::uint32_t mont_n0inv(std::uint32_t n0) {
-  std::uint32_t x = n0;  // 3-bit accurate seed for odd n0
+__extension__ typedef unsigned __int128 u128;
+
+// -n^{-1} mod 2^64 by Newton iteration (n odd): each step doubles the
+// number of correct low bits, from the 3 an odd n0 gives for free.
+std::uint64_t mont_n0inv(std::uint64_t n0) {
+  std::uint64_t x = n0;
   for (int i = 0; i < 5; ++i) x *= 2 - n0 * x;
-  return ~x + 1;  // negate
+  return 0 - x;
+}
+
+// Low limb of a * b + x + carry; carry becomes the high limb. The sum is
+// at most 2^128 - 1, so nothing is lost. The two additions are written
+// with 64-bit carries because GCC compiles them into a tighter loop than
+// 128-bit additions.
+inline std::uint64_t mac(std::uint64_t a, std::uint64_t b, std::uint64_t x,
+                         std::uint64_t& carry) {
+  const u128 p = static_cast<u128>(a) * b;
+  std::uint64_t lo = static_cast<std::uint64_t>(p);
+  std::uint64_t hi = static_cast<std::uint64_t>(p >> 64);
+  lo += x;
+  hi += lo < x;
+  lo += carry;
+  hi += lo < carry;
+  carry = hi;
+  return lo;
 }
 }  // namespace
 
-Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
-  if (!modulus.is_odd() || modulus.bit_length() < 2) {
-    throw std::domain_error("Montgomery: modulus must be odd and > 1");
-  }
-  k_ = n_.limbs_.size();
-  n0inv_ = mont_n0inv(n_.limbs_[0]);
-  // R^2 mod n with R = 2^(32k).
-  BigInt r2 = BigInt(1) << (64 * k_);
-  r2_ = r2 % n_;
+bool Montgomery64::supports(const BigInt& modulus) {
+  return modulus.is_odd() && modulus.bit_length() >= 2 &&
+         modulus.bit_length() <= kMaxBits;
 }
 
-BigInt Montgomery::mul(const BigInt& a, const BigInt& b) const {
-  // CIOS (coarsely integrated operand scanning) Montgomery multiplication.
-  std::vector<std::uint32_t> t(k_ + 2, 0);
-  for (std::size_t i = 0; i < k_; ++i) {
-    const std::uint64_t ai = (i < a.limbs_.size()) ? a.limbs_[i] : 0;
-    // t += ai * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      const std::uint64_t bj = (j < b.limbs_.size()) ? b.limbs_[j] : 0;
-      const std::uint64_t cur = t[j] + ai * bj + carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    std::uint64_t cur = t[k_] + carry;
-    t[k_] = static_cast<std::uint32_t>(cur);
-    t[k_ + 1] = static_cast<std::uint32_t>(cur >> 32);
-
-    // m = t[0] * n0inv mod 2^32 ; t += m * n ; t >>= 32
-    const std::uint32_t m = t[0] * n0inv_;
-    carry = (static_cast<std::uint64_t>(t[0]) +
-             static_cast<std::uint64_t>(m) * n_.limbs_[0]) >>
-            32;
-    for (std::size_t j = 1; j < k_; ++j) {
-      const std::uint64_t cur2 =
-          t[j] + static_cast<std::uint64_t>(m) * n_.limbs_[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(cur2);
-      carry = cur2 >> 32;
-    }
-    cur = t[k_] + carry;
-    t[k_ - 1] = static_cast<std::uint32_t>(cur);
-    cur = t[k_ + 1] + (cur >> 32);
-    t[k_] = static_cast<std::uint32_t>(cur);
-    t[k_ + 1] = 0;
+Montgomery64::Montgomery64(const BigInt& modulus) {
+  if (!supports(modulus)) {
+    throw std::domain_error(
+        "Montgomery64: modulus must be odd, > 1 and at most 2048 bits");
   }
+  k_ = (modulus.limbs_.size() + 1) / 2;
+  for (std::size_t i = 0; i < modulus.limbs_.size(); ++i) {
+    n_[i / 2] |= static_cast<std::uint64_t>(modulus.limbs_[i])
+                 << (32 * (i % 2));
+  }
+  n0inv_ = mont_n0inv(n_[0]);
+  load(r2_, (BigInt(1) << (128 * k_)) % modulus);
+}
 
+void Montgomery64::load(Limbs& out, const BigInt& x) const {
+  // Any x of more than 2k 32-bit limbs is >= R > n; otherwise compare limbs.
+  bool reduce = x.limbs_.size() > 2 * k_;
+  if (!reduce) {
+    std::fill_n(out.begin(), k_, 0);
+    for (std::size_t i = 0; i < x.limbs_.size(); ++i) {
+      out[i / 2] |= static_cast<std::uint64_t>(x.limbs_[i]) << (32 * (i % 2));
+    }
+    reduce = true;  // x == n reduces to zero
+    for (std::size_t j = k_; j-- > 0;) {
+      if (out[j] != n_[j]) {
+        reduce = out[j] > n_[j];
+        break;
+      }
+    }
+  }
+  if (reduce) load(out, x % store(n_));
+}
+
+BigInt Montgomery64::store(const Limbs& x) const {
   BigInt out;
-  out.limbs_.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k_ + 1));
+  out.limbs_.resize(2 * k_);
+  for (std::size_t i = 0; i < 2 * k_; ++i) {
+    out.limbs_[i] = static_cast<std::uint32_t>(x[i / 2] >> (32 * (i % 2)));
+  }
   out.trim();
-  if (out >= n_) out = out - n_;
   return out;
 }
 
-BigInt Montgomery::to_mont(const BigInt& x) const { return mul(x, r2_); }
-
-BigInt Montgomery::from_mont(const BigInt& x) const { return mul(x, BigInt(1)); }
-
-BigInt Montgomery::pow(const BigInt& base, const BigInt& exponent) const {
-  const BigInt b = base % n_;
-  if (exponent.is_zero()) return BigInt(1) % n_;
-
-  // Precompute b^0..b^15 in Montgomery form (4-bit fixed window).
-  std::array<BigInt, 16> table;
-  table[0] = to_mont(BigInt(1));
-  table[1] = to_mont(b);
-  for (std::size_t i = 2; i < 16; ++i) table[i] = mul(table[i - 1], table[1]);
-
-  const std::size_t bits = exponent.bit_length();
-  const std::size_t windows = (bits + 3) / 4;
-  BigInt acc = table[0];
-  for (std::size_t w = windows; w-- > 0;) {
-    for (int s = 0; s < 4; ++s) acc = mul(acc, acc);
-    std::size_t idx = 0;
-    for (int s = 3; s >= 0; --s) {
-      idx = (idx << 1) | (exponent.bit(w * 4 + static_cast<std::size_t>(s)) ? 1u : 0u);
+void Montgomery64::mont_mul(Limbs& out, const Limbs& a,
+                            const Limbs& b) const {
+  // CIOS (coarsely integrated operand scanning) with the multiply and
+  // reduce steps fused into one pass per limb of a:
+  // t = (t + a_i * b + m * n) / 2^64, with m chosen to zero the low limb.
+  // t stays below 2n throughout.
+  const std::size_t k = k_;
+  const std::uint64_t* n = n_.data();
+  std::uint64_t t[kMaxLimbs + 1];
+  std::fill_n(t, k + 1, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::uint64_t ai = a[i];
+    std::uint64_t carry_ab = 0;
+    std::uint64_t carry_mn = 0;
+    const std::uint64_t low = mac(ai, b[0], t[0], carry_ab);
+    const std::uint64_t m = low * n0inv_;
+    (void)mac(m, n[0], low, carry_mn);  // zero by the choice of m
+    for (std::size_t j = 1; j < k; ++j) {
+      const std::uint64_t x = mac(ai, b[j], t[j], carry_ab);
+      t[j - 1] = mac(m, n[j], x, carry_mn);
     }
-    if (idx) acc = mul(acc, table[idx]);
+    std::uint64_t top = t[k] + carry_ab;
+    std::uint64_t over = top < carry_ab;
+    top += carry_mn;
+    over += top < carry_mn;
+    t[k - 1] = top;
+    t[k] = over;
   }
-  return from_mont(acc);
+  reduce_once(out, t, t[k]);
+}
+
+void Montgomery64::mont_sqr(Limbs& out, const Limbs& a) const {
+  // Square, then reduce (separated operand scanning): the k(k-1)/2 cross
+  // products a_i * a_j (i < j) are formed once and doubled, which makes a
+  // squaring about a quarter cheaper than mont_mul(out, a, a).
+  const std::size_t k = k_;
+  std::uint64_t t[2 * kMaxLimbs];
+  std::fill_n(t, 2 * k, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    std::uint64_t carry = 0;
+    for (std::size_t j = i + 1; j < k; ++j) {
+      t[i + j] = mac(a[i], a[j], t[i + j], carry);
+    }
+    t[i + k] = carry;
+  }
+  std::uint64_t shifted_out = 0;
+  for (std::size_t j = 0; j < 2 * k; ++j) {
+    const std::uint64_t v = t[j];
+    t[j] = (v << 1) | shifted_out;
+    shifted_out = v >> 63;
+  }
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    t[2 * i] = mac(a[i], a[i], t[2 * i], carry);
+    t[2 * i + 1] += carry;
+    carry = t[2 * i + 1] < carry;
+  }
+  redc(out, t);
+}
+
+void Montgomery64::redc(Limbs& out, std::uint64_t* t) const {
+  // Add m_i * n * 2^(64i) to clear limb i, for each i < k; what is left is
+  // t / R, in the top k limbs plus a carry bit.
+  const std::size_t k = k_;
+  const std::uint64_t* n = n_.data();
+  std::uint64_t top = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::uint64_t m = t[i] * n0inv_;
+    std::uint64_t carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      t[i + j] = mac(m, n[j], t[i + j], carry);
+    }
+    const std::uint64_t sum = t[i + k] + carry;
+    std::uint64_t over = sum < carry;
+    t[i + k] = sum + top;
+    over += t[i + k] < top;
+    top = over;
+  }
+  reduce_once(out, t + k, top);
+}
+
+void Montgomery64::reduce_once(Limbs& out, std::uint64_t* t,
+                               std::uint64_t top) const {
+  // t + top * R < 2n: one conditional subtraction lands in [0, n).
+  bool ge = top != 0;
+  if (!ge) {
+    ge = true;  // t == n reduces to zero
+    for (std::size_t j = k_; j-- > 0;) {
+      if (t[j] != n_[j]) {
+        ge = t[j] > n_[j];
+        break;
+      }
+    }
+  }
+  if (ge) {
+    std::uint64_t borrow = 0;
+    for (std::size_t j = 0; j < k_; ++j) {
+      const std::uint64_t d = t[j] - n_[j] - borrow;
+      borrow = (t[j] < n_[j]) || (t[j] - n_[j] < borrow);
+      t[j] = d;
+    }
+  }
+  std::copy_n(t, k_, out.begin());
+}
+
+BigInt Montgomery64::mul(const BigInt& a, const BigInt& b) const {
+  Limbs x{};
+  Limbs y{};
+  load(x, a);
+  load(y, b);
+  mont_mul(x, x, r2_);  // a*R
+  mont_mul(x, x, y);    // a*R * b * R^-1 = a*b
+  return store(x);
+}
+
+BigInt Montgomery64::pow(const BigInt& base, const BigInt& exponent) const {
+  const std::size_t bits = exponent.bit_length();
+  if (bits == 0) return BigInt(1);  // n > 1
+
+  // Odd powers b^1, b^3, ..., b^(2^w - 1) in Montgomery form.
+  const std::size_t w = bits > 512 ? 5 : bits > 128 ? 4 : bits > 32 ? 3 : 1;
+  Limbs table[1u << 4];  // entries past 2^(w-1) stay unused
+  load(table[0], base);
+  mont_mul(table[0], table[0], r2_);
+  if (w > 1) {
+    Limbs square{};
+    mont_sqr(square, table[0]);
+    for (std::size_t i = 1; i < (1u << (w - 1)); ++i) {
+      mont_mul(table[i], table[i - 1], square);
+    }
+  }
+
+  // Scan from the top bit: a zero bit squares; a one bit opens a window of
+  // at most w bits that ends in a one, applied as |window| squarings and
+  // one table multiply. The top bit is set, so the first step opens a
+  // window and seeds the accumulator.
+  Limbs acc{};
+  bool seeded = false;
+  for (std::size_t i = bits; i > 0;) {
+    if (!exponent.bit(i - 1)) {
+      mont_sqr(acc, acc);
+      --i;
+      continue;
+    }
+    std::size_t lo = i > w ? i - w : 0;
+    while (!exponent.bit(lo)) ++lo;
+    std::size_t window = 0;
+    for (std::size_t j = i; j-- > lo;) {
+      window = (window << 1) | (exponent.bit(j) ? 1u : 0u);
+    }
+    const Limbs& entry = table[window >> 1];
+    if (seeded) {
+      for (std::size_t j = lo; j < i; ++j) mont_sqr(acc, acc);
+      mont_mul(acc, acc, entry);
+    } else {
+      std::copy_n(entry.begin(), k_, acc.begin());
+      seeded = true;
+    }
+    i = lo;
+  }
+
+  std::uint64_t t[2 * kMaxLimbs];  // out of Montgomery form: acc / R
+  std::copy_n(acc.begin(), k_, t);
+  std::fill_n(t + k_, k_, 0);
+  redc(acc, t);
+  return store(acc);
 }
 
 BigInt BigInt::mod_exp(const BigInt& exponent, const BigInt& modulus) const {
@@ -440,11 +595,11 @@ BigInt BigInt::mod_exp(const BigInt& exponent, const BigInt& modulus) const {
     if (modulus.is_zero()) throw std::domain_error("mod_exp: zero modulus");
     return {};  // mod 1
   }
-  if (modulus.is_odd()) {
-    return Montgomery(modulus).pow(*this, exponent);
+  if (Montgomery64::supports(modulus)) {
+    return Montgomery64(modulus).pow(*this, exponent);
   }
-  // Classical square-and-multiply with divmod reduction (rare path; only
-  // used for non-RSA moduli in tests).
+  // Classical square-and-multiply with divmod reduction: even moduli (the
+  // tests' reference) and odd moduli wider than Montgomery64's capacity.
   BigInt base = *this % modulus;
   BigInt acc(1);
   for (std::size_t i = exponent.bit_length(); i-- > 0;) {
@@ -532,12 +687,11 @@ bool BigInt::is_probable_prime(Rng& rng, int rounds) const {
     ++s;
   }
 
-  const Montgomery mont(*this);
   const BigInt two(2);
   for (int round = 0; round < rounds; ++round) {
     // a in [2, n-2]
     const BigInt a = two + BigInt::random_below(rng, n_minus_1 - two);
-    BigInt x = mont.pow(a, d);
+    BigInt x = a.mod_exp(d, *this);
     if (x == BigInt(1) || x == n_minus_1) continue;
     bool witness = true;
     for (std::size_t i = 1; i < s; ++i) {

@@ -2,14 +2,17 @@
 //
 // Little-endian vector of 32-bit limbs. Supports the operations RSA needs:
 // comparison, add/sub/mul, Knuth Algorithm-D division, shifts, modular
-// exponentiation (Montgomery CIOS for odd moduli), extended-Euclid modular
-// inverse, and Miller-Rabin primality testing.
+// exponentiation, extended-Euclid modular inverse, and Miller-Rabin
+// primality testing. Exponentiation modulo an odd modulus of up to 2048 bits
+// runs on Montgomery64, a 64-bit-limb CIOS kernel over fixed-capacity stack
+// arrays that allocates nothing per multiplication.
 //
 // NOT constant-time. This is a reproduction-quality implementation whose
 // purpose is to recreate the *cost structure* of the paper's BouncyCastle
 // stack (sign >> verify >> symmetric ops), not to protect real keys.
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <string>
@@ -83,8 +86,9 @@ class BigInt {
   /// Quotient and remainder in one pass (Knuth Algorithm D).
   [[nodiscard]] DivMod divmod(const BigInt& divisor) const;
 
-  /// (this ^ exponent) mod modulus. Uses Montgomery multiplication when the
-  /// modulus is odd, classical reduction otherwise. modulus > 1 required.
+  /// (this ^ exponent) mod modulus. Runs on Montgomery64 when it supports the
+  /// modulus (odd, at most 2048 bits); classical square-and-multiply
+  /// otherwise. modulus > 1 required.
   [[nodiscard]] BigInt mod_exp(const BigInt& exponent,
                                const BigInt& modulus) const;
 
@@ -107,7 +111,7 @@ class BigInt {
   static BigInt add_impl(const BigInt& a, const BigInt& b);
   static BigInt sub_impl(const BigInt& a, const BigInt& b);
 
-  friend class Montgomery;
+  friend class Montgomery64;
   std::vector<std::uint32_t> limbs_;  // little-endian, no trailing zeros
 };
 
@@ -117,29 +121,55 @@ struct DivMod {
   BigInt remainder;
 };
 
-/// Montgomery multiplication context for a fixed odd modulus. Exposed so
-/// RSA private-key operations can reuse one context across CRT halves.
-class Montgomery {
+/// Montgomery arithmetic modulo one odd modulus of at most kMaxBits bits.
+///
+/// Operands are fixed-capacity arrays of 64-bit limbs indexed by the
+/// modulus's runtime limb count. Multiplication is CIOS and squaring is
+/// square-then-reduce, both on 128-bit products, and nothing is allocated
+/// per operation. This one kernel serves the RSA public and CRT private
+/// operations, BigInt::mod_exp and Miller-Rabin. Immutable after
+/// construction, so one instance may be shared across threads.
+class Montgomery64 {
  public:
-  /// modulus must be odd and > 1.
-  explicit Montgomery(const BigInt& modulus);
+  static constexpr std::size_t kMaxLimbs = 32;
+  static constexpr std::size_t kMaxBits = 64 * kMaxLimbs;  // 2048
 
-  /// (a * b * R^-1) mod n, inputs in Montgomery form.
+  /// True when `modulus` is odd, > 1 and at most kMaxBits bits wide.
+  static bool supports(const BigInt& modulus);
+
+  /// Precomputes -n^-1 mod 2^64 and R^2 mod n, with R = 2^(64 * limbs).
+  /// Throws std::domain_error unless supports(modulus).
+  explicit Montgomery64(const BigInt& modulus);
+
+  /// (a * b) mod n, for operands of any size.
   [[nodiscard]] BigInt mul(const BigInt& a, const BigInt& b) const;
 
-  /// x -> x*R mod n.
-  [[nodiscard]] BigInt to_mont(const BigInt& x) const;
-  /// x*R mod n -> x.
-  [[nodiscard]] BigInt from_mont(const BigInt& x) const;
-
-  /// (base ^ exponent) mod n using 4-bit fixed windows.
+  /// (base ^ exponent) mod n, for a base of any size. Left-to-right sliding
+  /// windows sized to the exponent: plain square-and-multiply for short
+  /// public exponents such as 65537, up to 5-bit windows for long ones.
   [[nodiscard]] BigInt pow(const BigInt& base, const BigInt& exponent) const;
 
  private:
-  BigInt n_;
-  BigInt r2_;             // R^2 mod n
-  std::uint32_t n0inv_;   // -n^{-1} mod 2^32
-  std::size_t k_;         // limb count of n
+  // Little-endian; only the low k_ limbs of a value are ever read.
+  using Limbs = std::array<std::uint64_t, kMaxLimbs>;
+
+  /// out = a * b * R^-1 mod n for a, b < n. out may alias a or b.
+  void mont_mul(Limbs& out, const Limbs& a, const Limbs& b) const;
+  /// out = a * a * R^-1 mod n for a < n. out may alias a.
+  void mont_sqr(Limbs& out, const Limbs& a) const;
+  /// out = t * R^-1 mod n for a 2k-limb t < n * R. Clobbers t.
+  void redc(Limbs& out, std::uint64_t* t) const;
+  /// out = (t + top * R) mod n for a k-limb t with t + top * R < 2n.
+  void reduce_once(Limbs& out, std::uint64_t* t, std::uint64_t top) const;
+  /// x mod n in normal (not Montgomery) form.
+  void load(Limbs& out, const BigInt& x) const;
+  /// Low k_ limbs of x as a BigInt.
+  [[nodiscard]] BigInt store(const Limbs& x) const;
+
+  Limbs n_{};
+  Limbs r2_{};               // R^2 mod n
+  std::uint64_t n0inv_ = 0;  // -n^-1 mod 2^64
+  std::size_t k_ = 0;        // limb count of n
 };
 
 }  // namespace et::crypto

@@ -61,7 +61,7 @@ std::size_t RsaPublicKey::modulus_len() const {
 
 bool RsaPublicKey::verify(BytesView message, BytesView signature,
                           HashAlg alg) const {
-  if (empty()) return false;
+  if (empty() || n_.bit_length() > Montgomery64::kMaxBits) return false;
   const std::size_t k = modulus_len();
   if (signature.size() != k) return false;
   const BigInt s = BigInt::from_bytes(signature);
@@ -119,53 +119,24 @@ RsaPublicKey RsaPublicKey::deserialize(BytesView b) {
 
 Bytes RsaPublicKey::fingerprint() const { return Sha1::digest(serialize()); }
 
-RsaVerifyContext::RsaVerifyContext(const RsaPublicKey& key) : key_(key) {
-  if (key_.empty()) return;
-  modulus_len_ = key_.modulus_len();
-  if (key_.n().is_odd()) mont_ = std::make_unique<Montgomery>(key_.n());
-}
+struct RsaPrivateKey::CrtKernels {
+  Montgomery64 p;
+  Montgomery64 q;
+};
 
-bool RsaVerifyContext::verify(BytesView message, BytesView signature,
-                              HashAlg alg) const {
-  if (key_.empty()) return false;
-  if (signature.size() != modulus_len_) return false;
-  const BigInt s = BigInt::from_bytes(signature);
-  if (s >= key_.n()) return false;
-
-  BigInt m;
-  if (mont_) {
-    // Public exponents are sparse (65537, 17, 3): a left-to-right
-    // square-and-multiply costs bit_length-1 squarings plus one multiply
-    // per set bit, beating the window ladder's table build by ~2x.
-    const BigInt& e = key_.e();
-    const std::size_t bits = e.bit_length();
-    if (bits == 0) return false;  // e = 0 is not a valid public exponent
-    const BigInt base = mont_->to_mont(s);
-    BigInt acc = base;
-    for (std::size_t i = bits - 1; i-- > 0;) {
-      acc = mont_->mul(acc, acc);
-      if (e.bit(i)) acc = mont_->mul(acc, base);
-    }
-    m = mont_->from_mont(acc);
-  } else {
-    m = s.mod_exp(key_.e(), key_.n());
+void RsaPrivateKey::precompute_crt() {
+  crt_.reset();
+  if (Montgomery64::supports(p_) && Montgomery64::supports(q_)) {
+    crt_ = std::make_shared<const CrtKernels>(
+        CrtKernels{Montgomery64(p_), Montgomery64(q_)});
   }
-
-  const Bytes em = m.to_bytes(modulus_len_);
-  Bytes expected;
-  try {
-    expected = emsa_encode(message, alg, modulus_len_);
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-  return constant_time_equal(em, expected);
 }
 
 BigInt RsaPrivateKey::private_op(const BigInt& c) const {
   // CRT: m1 = c^dp mod p, m2 = c^dq mod q, h = qinv*(m1-m2) mod p,
   // m = m2 + h*q.
-  const BigInt m1 = c.mod_exp(dp_, p_);
-  const BigInt m2 = c.mod_exp(dq_, q_);
+  const BigInt m1 = crt_ ? crt_->p.pow(c, dp_) : c.mod_exp(dp_, p_);
+  const BigInt m2 = crt_ ? crt_->q.pow(c, dq_) : c.mod_exp(dq_, q_);
   BigInt diff;
   if (m1 >= m2 % p_) {
     diff = m1 - (m2 % p_);
@@ -230,13 +201,15 @@ RsaPrivateKey RsaPrivateKey::deserialize(BytesView b) {
   key.dq_ = BigInt::from_bytes(r.bytes());
   key.qinv_ = BigInt::from_bytes(r.bytes());
   r.expect_done();
+  key.precompute_crt();
   return key;
 }
 
 struct RsaKeyPairFactory {
   static RsaKeyPair make(Rng& rng, std::size_t bits) {
-    if (bits < 128 || bits % 2 != 0) {
-      throw std::invalid_argument("rsa_generate: bits must be even and >=128");
+    if (bits < 128 || bits % 2 != 0 || bits > Montgomery64::kMaxBits) {
+      throw std::invalid_argument(
+          "rsa_generate: bits must be even and in [128, 2048]");
     }
     const BigInt e(65537);
     for (;;) {
@@ -265,6 +238,7 @@ struct RsaKeyPairFactory {
       priv.dp_ = d % (priv.p_ - BigInt(1));
       priv.dq_ = d % (priv.q_ - BigInt(1));
       priv.qinv_ = priv.q_.mod_inverse(priv.p_);
+      priv.precompute_crt();
 
       RsaKeyPair pair;
       pair.public_key = priv.pub_;

@@ -2,10 +2,15 @@
 // configuration: "1024-bit RSA with 160-bit SHA-1 and PKCS#1Padding" (§6.1).
 //
 // Provides:
-//  * key generation (two-prime, CRT parameters precomputed),
+//  * key generation (two-prime, CRT parameters precomputed), up to
+//    Montgomery64::kMaxBits (2048) bits,
 //  * RSASSA-PKCS1-v1_5 signatures over SHA-1 or SHA-256,
 //  * RSAES-PKCS1-v1_5 encryption (used to wrap symmetric keys),
 //  * serialization of public keys for embedding in credentials and tokens.
+//
+// Every modular exponentiation runs on the 64-bit-limb Montgomery64 kernel
+// (bigint.h). Public keys wider than its capacity are refused by verify,
+// which caps the CPU an attacker-supplied key can cost per message.
 //
 // NOT constant-time, no blinding — reproduction quality only.
 #pragma once
@@ -32,7 +37,8 @@ class RsaPublicKey {
   RsaPublicKey() = default;
   RsaPublicKey(BigInt n, BigInt e);
 
-  /// Verifies an RSASSA-PKCS1-v1_5 signature over `message`.
+  /// Verifies an RSASSA-PKCS1-v1_5 signature over `message`. False for
+  /// keys wider than Montgomery64::kMaxBits. Immutable and thread-safe.
   [[nodiscard]] bool verify(BytesView message, BytesView signature,
                             HashAlg alg = HashAlg::kSha1) const;
 
@@ -60,7 +66,9 @@ class RsaPublicKey {
   BigInt e_;
 };
 
-/// RSA private key with CRT acceleration.
+/// RSA private key with CRT acceleration. The Montgomery constants of p
+/// and q are computed once, when the key is generated or deserialized, and
+/// shared by its copies.
 class RsaPrivateKey {
  public:
   RsaPrivateKey() = default;
@@ -84,44 +92,21 @@ class RsaPrivateKey {
 
  private:
   friend struct RsaKeyPairFactory;
+  struct CrtKernels;
   RsaPublicKey pub_;
   BigInt d_;          // private exponent
   BigInt p_, q_;      // prime factors
   BigInt dp_, dq_;    // d mod (p-1), d mod (q-1)
   BigInt qinv_;       // q^{-1} mod p
+  // Montgomery64 kernels for p and q; null when a factor is one the kernel
+  // does not support, which leaves private_op on BigInt::mod_exp.
+  std::shared_ptr<const CrtKernels> crt_;
+
+  /// Builds crt_ from p_ and q_.
+  void precompute_crt();
 
   /// CRT modular exponentiation m = c^d mod n.
   [[nodiscard]] BigInt private_op(const BigInt& c) const;
-};
-
-/// Reusable verification state for one public key: the Montgomery context
-/// for the modulus is precomputed once and shared across every signature
-/// checked through this object, and the (invariably sparse) public
-/// exponent is evaluated by plain square-and-multiply instead of the
-/// generic 4-bit-window ladder — for e = 65537 that is ~19 modular
-/// multiplications instead of ~40 plus a per-call Montgomery setup.
-///
-/// This is the batch entry point the per-hop verification pipeline uses:
-/// group signatures by key, build one context per key, verify the group in
-/// one pass. Verdicts are bit-for-bit identical to RsaPublicKey::verify.
-/// Immutable after construction and safe to share across threads.
-class RsaVerifyContext {
- public:
-  /// `key` is copied; an empty key yields a context that rejects all.
-  explicit RsaVerifyContext(const RsaPublicKey& key);
-
-  /// Same contract as RsaPublicKey::verify.
-  [[nodiscard]] bool verify(BytesView message, BytesView signature,
-                            HashAlg alg = HashAlg::kSha1) const;
-
-  [[nodiscard]] const RsaPublicKey& key() const { return key_; }
-
- private:
-  RsaPublicKey key_;
-  std::size_t modulus_len_ = 0;
-  // Present when the modulus is odd (every real RSA modulus); degenerate
-  // even-modulus keys fall back to the generic mod_exp path.
-  std::unique_ptr<Montgomery> mont_;
 };
 
 /// A generated key pair.
@@ -131,7 +116,8 @@ struct RsaKeyPair {
 };
 
 /// Generates an RSA key pair with an exactly `bits`-bit modulus
-/// (default 1024 as in the paper) and e = 65537.
+/// (default 1024 as in the paper) and e = 65537. Throws
+/// std::invalid_argument unless bits is even and in [128, 2048].
 RsaKeyPair rsa_generate(Rng& rng, std::size_t bits = 1024);
 
 }  // namespace et::crypto

@@ -1,7 +1,7 @@
 // SHA-256 message digest (FIPS 180-4).
 //
 // Offered alongside SHA-1 so callers can choose a modern digest for
-// signatures and HMAC; the paper-faithful benchmark configuration uses
+// signatures; the paper-faithful benchmark configuration uses
 // SHA-1, the extension benches compare both.
 #pragma once
 

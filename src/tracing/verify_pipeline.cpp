@@ -320,18 +320,19 @@ void VerifyPipeline::verify_group(Group& g, const std::vector<Pending>& batch,
     return;
   }
 
-  // Per-key amortization: the topic string, the rights check and the
-  // delegate-key Montgomery context are computed once per group.
+  // Per-key amortization: the topic string and the rights check are
+  // computed once per group.
   const std::string topic = g.token->trace_topic().to_string();
   const bool rights_ok = g.token->rights() == TokenRights::kPublish;
-  const crypto::RsaVerifyContext ctx(g.token->delegate_key());
+  const crypto::RsaPublicKey& delegate_key = g.token->delegate_key();
   for (const std::size_t i : g.items) {
     const Pending& p = batch[i];
     if (!rights_ok) {
       verdicts[i] = permission_denied("token does not grant publish rights");
     } else if (p.expected_topic != topic) {
       verdicts[i] = permission_denied("token is for a different trace topic");
-    } else if (!ctx.verify(p.msg.signable_bytes(), p.msg.signature)) {
+    } else if (!delegate_key.verify(p.msg.signable_bytes(),
+                                    p.msg.signature)) {
       verdicts[i] =
           unauthenticated("trace message not signed by the delegate key");
     } else {

@@ -4,11 +4,10 @@
 // publications are *admitted* into a per-broker verification queue and the
 // filter answers FilterVerdict::defer(). A drain stage later takes the
 // backlog FIFO, groups it by delegate-key fingerprint, resolves the
-// token-chain verdict once per key (through the TokenVerifyCache) and
-// builds one RsaVerifyContext — the Montgomery domain of the delegate
-// modulus plus a sparse-exponent ladder — per key, so a burst of traces
-// from one hosting broker pays the per-key setup once instead of once per
-// message. Accepted messages re-enter routing via Broker::release_deferred
+// token-chain verdict once per key (through the TokenVerifyCache), so a
+// burst of traces from one hosting broker pays the chain once instead of
+// once per message; each message then pays one delegate-signature verify.
+// Accepted messages re-enter routing via Broker::release_deferred
 // in admission order; rejections go through Broker::reject_deferred and
 // get the same misbehaviour accounting an inline rejection would.
 //

@@ -2,8 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace et::crypto {
 namespace {
+
+// Classical reference: square-and-multiply, reducing with % after every
+// step.
+BigInt classical_pow(const BigInt& base, const BigInt& exponent,
+                     const BigInt& n) {
+  BigInt acc = BigInt(1) % n;
+  const BigInt b = base % n;
+  for (std::size_t bit = exponent.bit_length(); bit-- > 0;) {
+    acc = (acc * acc) % n;
+    if (exponent.bit(bit)) acc = (acc * b) % n;
+  }
+  return acc;
+}
+
+// A random odd modulus of exactly `bits` bits (bits >= 2).
+BigInt odd_modulus(Rng& rng, std::size_t bits) {
+  BigInt n = BigInt::random_bits(rng, bits - 1) + (BigInt(1) << (bits - 1));
+  return n.is_odd() ? n : n + BigInt(1);
+}
+
+// Operands that stress the kernel's edges: 0, 1, n-1, random values below
+// n, and values at or above n (which it must reduce first), up to R and
+// beyond.
+std::vector<BigInt> edge_operands(Rng& rng, const BigInt& n) {
+  const BigInt r = BigInt(1) << (64 * ((n.bit_length() + 63) / 64));
+  return {BigInt(),
+          BigInt(1),
+          n - BigInt(1),
+          BigInt::random_below(rng, n),
+          BigInt::random_below(rng, n),
+          n,
+          n + BigInt(1),
+          r - BigInt(1),
+          r,
+          n * n + BigInt::random_below(rng, n)};
+}
 
 TEST(BigIntTest, ZeroBasics) {
   BigInt z;
@@ -218,6 +256,91 @@ TEST(BigIntTest, DecimalStringLarge) {
   const BigInt v = BigInt::parse("340282366920938463463374607431768211456");
   EXPECT_EQ(v, BigInt(1) << 128);
   EXPECT_EQ(v.to_string(), "340282366920938463463374607431768211456");
+}
+
+// --- Montgomery64 kernel against the classical reference --------------------
+
+TEST(BigIntMontgomeryTest, SupportsOnlyOddModuliWithinCapacity) {
+  Rng rng(11);
+  EXPECT_FALSE(Montgomery64::supports(BigInt()));
+  EXPECT_FALSE(Montgomery64::supports(BigInt(1)));
+  EXPECT_FALSE(Montgomery64::supports(BigInt(100)));
+  EXPECT_TRUE(Montgomery64::supports(BigInt(3)));
+  EXPECT_TRUE(Montgomery64::supports(odd_modulus(rng, Montgomery64::kMaxBits)));
+  const BigInt wide = odd_modulus(rng, Montgomery64::kMaxBits + 1);
+  EXPECT_FALSE(Montgomery64::supports(wide));
+  EXPECT_THROW(Montgomery64{wide}, std::domain_error);
+  EXPECT_THROW(Montgomery64{BigInt(100)}, std::domain_error);
+  EXPECT_THROW(Montgomery64{BigInt(1)}, std::domain_error);
+}
+
+TEST(BigIntMontgomeryTest, MulMatchesClassicalAcrossLimbCounts) {
+  Rng rng(12);
+  std::vector<std::size_t> sizes = {2, 63, 64, 65, 127, 128, 1023, 1024, 2047};
+  for (std::size_t limbs = 1; limbs <= Montgomery64::kMaxLimbs; ++limbs) {
+    sizes.push_back(64 * (limbs - 1) + 2);  // narrowest at this limb count
+    sizes.push_back(64 * limbs);            // widest
+  }
+  for (const std::size_t bits : sizes) {
+    const BigInt n = odd_modulus(rng, bits);
+    const Montgomery64 mont(n);
+    const std::vector<BigInt> ops = edge_operands(rng, n);
+    for (const BigInt& a : ops) {
+      for (const BigInt& b : ops) {
+        ASSERT_EQ(mont.mul(a, b), (a * b) % n)
+            << "bits=" << bits << " a=" << a.to_hex() << " b=" << b.to_hex();
+      }
+    }
+  }
+}
+
+TEST(BigIntMontgomeryTest, PowMatchesClassicalAcrossLimbCountsAndWindows) {
+  Rng rng(13);
+  for (std::size_t limbs = 1; limbs <= Montgomery64::kMaxLimbs; ++limbs) {
+    const std::size_t bits = limbs == 1 ? 61 : 64 * limbs - limbs;
+    const BigInt n = odd_modulus(rng, bits);
+    const Montgomery64 mont(n);
+    // Exponent lengths cover every window width: 1-bit (<= 32 bits),
+    // 3-bit (<= 128), 4-bit (<= 512) and 5-bit beyond.
+    std::vector<BigInt> exponents = {
+        BigInt(),     BigInt(1),
+        BigInt(2),    BigInt(3),
+        BigInt(65537), BigInt::random_bits(rng, 100),
+        BigInt::random_bits(rng, 140)};
+    if (limbs <= 8) {  // keeps the reference's cost down
+      exponents.push_back(BigInt::random_bits(rng, 600));
+    }
+    for (const BigInt& base : edge_operands(rng, n)) {
+      for (const BigInt& e : exponents) {
+        ASSERT_EQ(mont.pow(base, e), classical_pow(base, e, n))
+            << "bits=" << bits << " base=" << base.to_hex()
+            << " e=" << e.to_hex();
+      }
+    }
+  }
+}
+
+TEST(BigIntMontgomeryTest, ModExpAtTheCapacityEdges) {
+  Rng rng(14);
+  for (const std::size_t bits : {65u, 127u, 128u, 1023u, 1024u, 2047u,
+                                 2048u, 2049u}) {
+    const BigInt n = odd_modulus(rng, bits);
+    const BigInt base = BigInt::random_bits(rng, bits + 40);  // >= n
+    const BigInt e = BigInt::random_bits(rng, 70);
+    EXPECT_EQ(base.mod_exp(e, n), classical_pow(base, e, n)) << bits;
+    // Even moduli take the classical path.
+    EXPECT_EQ(base.mod_exp(e, n + BigInt(1)),
+              classical_pow(base, e, n + BigInt(1)))
+        << bits;
+  }
+}
+
+TEST(BigIntMontgomeryTest, FullLengthExponentAt2048Bits) {
+  Rng rng(15);
+  const BigInt n = odd_modulus(rng, 2048);
+  const BigInt base = BigInt::random_below(rng, n);
+  const BigInt e = BigInt::random_bits(rng, 2048);
+  EXPECT_EQ(Montgomery64(n).pow(base, e), classical_pow(base, e, n));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
+#include "src/crypto/sha1.h"
 
 namespace et::crypto {
 namespace {
@@ -75,6 +76,67 @@ TEST_F(RsaTest, VerifyRejectsWrongLengthSignature) {
   sig.push_back(0);
   sig.push_back(0);
   EXPECT_FALSE(pair_->public_key.verify(msg, sig));
+}
+
+TEST_F(RsaTest, VerifyRejectsSignatureNotBelowModulus) {
+  const Bytes msg = to_bytes("message");
+  const BigInt& n = pair_->public_key.n();
+  const std::size_t k = pair_->public_key.modulus_len();
+  EXPECT_FALSE(pair_->public_key.verify(msg, n.to_bytes(k)));
+  EXPECT_FALSE(pair_->public_key.verify(msg, (n + BigInt(1)).to_bytes(k)));
+  EXPECT_FALSE(pair_->public_key.verify(msg, Bytes(k, 0xFF)));
+}
+
+TEST_F(RsaTest, VerifyRejectsZeroPaddedOrEmptySignature) {
+  const Bytes msg = to_bytes("message");
+  const Bytes sig = pair_->private_key.sign(msg);
+  Bytes padded = {0x00};
+  padded.insert(padded.end(), sig.begin(), sig.end());  // same value
+  EXPECT_FALSE(pair_->public_key.verify(msg, padded));
+  EXPECT_FALSE(pair_->public_key.verify(msg, Bytes{}));
+  EXPECT_TRUE(pair_->public_key.verify(msg, sig));
+}
+
+TEST_F(RsaTest, VerifyRejectsEverySingleBitFlip) {
+  const Bytes msg = to_bytes("every bit of a 1024-bit signature");
+  const Bytes sig = pair_->private_key.sign(msg);
+  for (std::size_t bit = 0; bit < 8 * sig.size(); ++bit) {
+    Bytes bad = sig;
+    bad[bit / 8] = static_cast<std::uint8_t>(bad[bit / 8] ^ (1u << (bit % 8)));
+    EXPECT_FALSE(pair_->public_key.verify(msg, bad)) << "bit=" << bit;
+  }
+}
+
+// With e = 1 the encoded message is its own signature, so a key of any
+// width can be checked without generating it.
+Bytes self_signed_em(BytesView msg, std::size_t k) {
+  const Bytes prefix = hex_decode("3021300906052b0e03021a05000414");
+  Bytes em = {0x00, 0x01};
+  em.insert(em.end(), k - 3 - prefix.size() - 20, 0xFF);
+  em.push_back(0x00);
+  append(em, prefix);
+  append(em, Sha1::digest(msg));
+  return em;
+}
+
+TEST(RsaCapacityTest, VerifyRefusesKeysWiderThanTheKernel) {
+  Rng rng(8);
+  const Bytes msg = to_bytes("attacker-supplied key");
+  for (const std::size_t bits : {Montgomery64::kMaxBits - 1,
+                                 Montgomery64::kMaxBits}) {
+    const BigInt n = BigInt::random_bits(rng, bits - 1) +
+                     (BigInt(1) << (bits - 1)) + BigInt(1);
+    const RsaPublicKey key(n, BigInt(1));
+    EXPECT_TRUE(key.verify(msg, self_signed_em(msg, key.modulus_len())))
+        << bits;
+  }
+  for (const std::size_t bits : {Montgomery64::kMaxBits + 1,
+                                 Montgomery64::kMaxBits + 1024}) {
+    const BigInt n = (BigInt(1) << (bits - 1)) + BigInt(1);
+    const RsaPublicKey key(n, BigInt(1));
+    EXPECT_FALSE(key.verify(msg, self_signed_em(msg, key.modulus_len())))
+        << bits;
+  }
 }
 
 TEST_F(RsaTest, SignatureIsDeterministic) {
@@ -154,6 +216,13 @@ TEST(RsaGenerateTest, RejectsBadSizes) {
   Rng rng(6);
   EXPECT_THROW(rsa_generate(rng, 100), std::invalid_argument);
   EXPECT_THROW(rsa_generate(rng, 127), std::invalid_argument);
+}
+
+TEST(RsaGenerateTest, ThrowsAboveKernelCapacity) {
+  Rng rng(9);
+  EXPECT_THROW(rsa_generate(rng, Montgomery64::kMaxBits + 2),
+               std::invalid_argument);
+  EXPECT_THROW(rsa_generate(rng, 4096), std::invalid_argument);
 }
 
 TEST(RsaGenerateTest, DistinctKeysAcrossCalls) {
