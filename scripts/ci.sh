@@ -11,9 +11,11 @@
 #             end-to-end framing tests) with a hard timeout; skipped
 #             gracefully where loopback sockets are unavailable
 #   asan    — ET_SANITIZE=address build of the codec-edge and robustness
-#             suites (over-read probes on the framing/view decoders) and
-#             the crypto suites (the Montgomery64 kernel indexes stack
-#             arrays by a runtime limb count)
+#             suites (over-read probes on the framing/view decoders), the
+#             crypto suites (the Montgomery64 kernel indexes stack arrays
+#             by a runtime limb count) and the tracing client suites (the
+#             entity-session core's `this`-capturing timer, discovery and
+#             subscription callbacks)
 #   tsan    — ET_SANITIZE=thread build running the concurrency-sensitive
 #             suites, including the socket backend and the RealTimeNetwork
 #             chaos scenario and overlay-repair smokes
@@ -83,8 +85,13 @@ run_asan() {
   # Montgomery64 kernel, whose fixed-capacity stack arrays are indexed by
   # the modulus's runtime limb count, and the AES T-table rounds, against
   # the classical reference, the golden outputs and corrupted signatures.
-  ctest --test-dir build-asan --output-on-failure --timeout 300 -R \
-    'FrameAssembler|FrameCodec|Robustness|Persist|BigInt|Rsa|Aes|Corruption'
+  # The tracing client suites drive both EntitySession front ends through
+  # registration, renewal, pings, teardown and broker-silence failover,
+  # whose callbacks capture `this` across timers and discovery round-trips.
+  local filter='FrameAssembler|FrameCodec|Robustness|Persist|BigInt|Rsa|Aes'
+  filter="$filter|Corruption|EntityHostTest|EndToEndTest|LifecycleTest"
+  filter="$filter|SecurityTest|ChaosSoakTest"
+  ctest --test-dir build-asan --output-on-failure --timeout 300 -R "$filter"
 }
 
 run_tsan() {

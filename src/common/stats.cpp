@@ -53,14 +53,4 @@ std::string RunningStats::summary() const {
   return os.str();
 }
 
-double Histogram::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  std::sort(samples_.begin(), samples_.end());
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
 }  // namespace et

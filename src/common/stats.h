@@ -2,15 +2,13 @@
 //
 // The paper reports every experiment as (mean, standard deviation, standard
 // error) in milliseconds — see Tables 3 and 4. `RunningStats` accumulates
-// those with Welford's numerically stable online algorithm; `Histogram`
-// supports percentile reporting for the ablation benches.
+// those with Welford's numerically stable online algorithm.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace et {
 
@@ -96,18 +94,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-capacity sample reservoir with exact percentiles (sorts on query).
-class Histogram {
- public:
-  void add(double x) { samples_.push_back(x); }
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-  /// p in [0,100]; nearest-rank percentile. Returns 0 when empty.
-  [[nodiscard]] double percentile(double p) const;
-
- private:
-  mutable std::vector<double> samples_;
 };
 
 }  // namespace et

@@ -1,416 +1,28 @@
 #include "src/tracing/entity_host.h"
 
+#include <algorithm>
 #include <utility>
 
-#include "src/common/logging.h"
-#include "src/pubsub/constrained_topic.h"
-#include "src/tracing/trace_emitter.h"
-
 namespace et::tracing {
-
-namespace tt = pubsub::trace_topics;
 
 EntityHost::EntityHost(transport::NetworkBackend& backend,
                        crypto::Identity identity, TrustAnchors anchors,
                        TracingConfig config, std::uint64_t seed)
-    : backend_(backend),
-      identity_(std::move(identity)),
-      anchors_(std::move(anchors)),
-      config_(config),
-      rng_(seed),
-      client_(backend, identity_.id),
-      disc_(backend, identity_) {
-  disc_.set_retry_policy(config_.retry);
-}
-
-EntityHost::~EntityHost() {
-  backend_.cancel(renewal_timer_);
-  backend_.cancel(watchdog_timer_);
-  backend_.cancel(failover_timer_);
-}
-
-void EntityHost::attach_tdn(transport::NodeId tdn,
-                            const transport::LinkParams& params) {
-  disc_.attach_tdn(tdn, params);
-}
-
-void EntityHost::connect_broker(transport::NodeId broker,
-                                const transport::LinkParams& params) {
-  broker_params_ = params;  // reused when failing over to a new broker
-  last_broker_activity_ = backend_.now();
-  client_.connect(broker, params);
-}
-
-void EntityHost::set_delegate_keys(crypto::RsaKeyPair keys) {
-  backend_.post(client_.node(), [this, keys = std::move(keys)]() mutable {
-    preset_delegate_ = std::move(keys);
-  });
-}
+    : EntitySession(backend, std::move(identity), std::move(anchors), config,
+                    seed, /*batch=*/true) {}
 
 void EntityHost::register_entities(
     discovery::DiscoveryRestrictions restrictions,
     std::vector<std::string> entity_ids, ReadyCallback on_ready) {
-  // Step 1: one trace topic for the whole roster, minted under the host's
-  // id. Tracking a member means tracking its host topic (§14).
-  disc_.create_topic(
-      "Availability/Traces/" + identity_.id, std::move(restrictions),
-      config_.topic_lifetime,
-      [this, entity_ids = std::move(entity_ids), on_ready = std::move(
-          on_ready)](Result<discovery::TopicAdvertisement> result) mutable {
-        backend_.post(client_.node(), [this, entity_ids = std::move(entity_ids),
-                                       result = std::move(result),
-                                       on_ready =
-                                           std::move(on_ready)]() mutable {
-          if (!result.ok()) {
-            if (on_ready) on_ready(result.status());
-            return;
-          }
-          advertisement_ = std::move(result).value();
-          trace_topic_ = advertisement_.topic();
-          active_ = false;  // (re-)registration in progress
-          entity_ids_ = std::move(entity_ids);
-          responsive_.assign(entity_ids_.size(), 1);
-          index_of_.clear();
-          for (std::size_t i = 0; i < entity_ids_.size(); ++i) {
-            index_of_[entity_ids_[i]] = i;
-          }
-          register_with_broker(std::move(on_ready));
-        });
-      });
-}
-
-void EntityHost::register_with_broker(ReadyCallback on_ready) {
-  pending_ready_ = std::move(on_ready);
-  // Subscribe once — the client keeps every handler ever registered for a
-  // pattern, so re-subscribing would replay responses into stale
-  // callbacks (same discipline as TracedEntity).
-  if (!registration_subscribed_) {
-    registration_subscribed_ = true;
-    const std::string response_topic = "Constrained/Traces/" + identity_.id +
-                                       "/Subscribe-Only/RegistrationResponse";
-    client_.subscribe(response_topic, [this](const pubsub::Message& m) {
-      on_registration_response(m);
-    });
-  }
-
-  // Step 2: ONE signed request names the whole roster.
-  BatchRegistrationRequest req;
-  req.host_id = identity_.id;
-  req.credential = identity_.credential;
-  req.advertisement = advertisement_;
-  req.request_id = rng_.next_u64() | 1;
-  req.entity_ids = entity_ids_;
-  registration_request_id_ = req.request_id;
-
-  pubsub::Message m;
-  m.topic = tt::registration_batch();
-  m.payload = req.serialize();
-  m.publisher = identity_.id;
-  // §3.2 item 4: demonstrate possession by signing the message.
-  publish_signed(client_, std::move(m), identity_.keys.private_key, sequence_,
-                 backend_.now());
-}
-
-void EntityHost::on_registration_response(const pubsub::Message& m) {
-  last_broker_activity_ = backend_.now();
-  if (active_) return;  // duplicate delivery after success
-  if (!m.encrypted) {
-    // Plaintext responses are error reports {request_id, message}.
-    try {
-      Reader r(m.payload);
-      const std::uint64_t req_id = r.u64();
-      const std::string error = r.str();
-      if (req_id != registration_request_id_) return;
-      ET_LOG(kInfo) << identity_.id
-                    << ": batch registration rejected: " << error;
-      if (auto cb = std::exchange(pending_ready_, nullptr)) {
-        cb(unauthenticated(error));
-      }
-    } catch (const SerializeError&) {
-    }
-    return;
-  }
-  RegistrationResponse resp;
-  try {
-    const SealedEnvelope env = SealedEnvelope::deserialize(m.payload);
-    resp = RegistrationResponse::deserialize(
-        env.open(identity_.keys.private_key));
-  } catch (const std::exception& e) {
-    ET_LOG(kDebug) << identity_.id
-                   << ": undecipherable registration response: " << e.what();
-    return;
-  }
-  if (resp.request_id != registration_request_id_) return;
-
-  session_id_ = resp.session_id;
-  session_key_ = crypto::SecretKey::deserialize(resp.session_key);
-
-  // Step 3: one session topic covers the roster.
-  client_.subscribe(
-      tt::broker_to_entity(identity_.id, trace_topic_.to_string(),
-                           session_id_.to_string()),
-      [this](const pubsub::Message& ping) { on_ping(ping); });
-
-  deliver_delegation(std::exchange(pending_ready_, nullptr));
-}
-
-void EntityHost::deliver_delegation(ReadyCallback on_ready) {
-  // §4.3 with one twist: ONE delegate pair + token authorizes traces for
-  // the entire roster (they all share the host's trace topic), so the
-  // re-mint cost is O(hosts), not O(entities).
-  const crypto::RsaKeyPair delegate =
-      preset_delegate_ ? *preset_delegate_
-                       : crypto::rsa_generate(rng_, config_.delegate_key_bits);
-  const TimePoint now = backend_.now();
-  const AuthorizationToken token = AuthorizationToken::create(
-      advertisement_, delegate.public_key, TokenRights::kPublish, now,
-      now + config_.token_lifetime, identity_.keys.private_key);
-
-  SessionMessage sm;
-  sm.type = SessionMsgType::kTokenDelivery;
-  sm.token = token.serialize();
-  sm.delegate_secret = delegate.private_key.serialize();
-  send_session_message(sm, /*force_encrypt=*/true);
-
-  if (config_.auto_renew_tokens) {
-    backend_.cancel(renewal_timer_);
-    renewal_timer_ = backend_.schedule(
-        client_.node(), config_.token_lifetime * 3 / 4, [this] {
-          if (active_) deliver_delegation(nullptr);
-        });
-  }
-
-  if (config_.secure_traces) {
-    if (trace_key_.empty()) {
-      trace_key_ = crypto::SecretKey::generate(rng_, config_.symmetric_alg);
-    }
-    SessionMessage key_msg;
-    key_msg.type = SessionMsgType::kTraceKeyDelivery;
-    key_msg.trace_key = trace_key_.serialize();
-    send_session_message(key_msg, /*force_encrypt=*/true);
-  }
-
-  active_ = true;
-  ++stats_.registrations;
-  arm_watchdog();
-  if (on_ready) on_ready(Status::ok());
-}
-
-void EntityHost::on_ping(const pubsub::Message& m) {
-  // Any broker traffic proves the broker alive — even pings we choose not
-  // to answer (set_all_responsive(false) simulates a hung host, not a
-  // dead broker), so the silence watchdog must not fail over then.
-  last_broker_activity_ = backend_.now();
-  SessionMessage ping;
-  try {
-    ping = SessionMessage::deserialize(m.payload);
-  } catch (const SerializeError&) {
-    return;
-  }
-  if (ping.type != SessionMsgType::kPing) return;
-  ++stats_.pings_received;
-  if (!host_responsive_) return;  // injected failure: whole host silent
-
-  // §3.3 response, batch form: echo number+timestamp and pack the
-  // roster's responsiveness into the liveness bitmap — bit i of byte i/8
-  // covers entity_ids_[i] (the batch registration order).
-  SessionMessage resp;
-  resp.type = SessionMsgType::kPingResponse;
-  resp.ping_number = ping.ping_number;
-  resp.ping_timestamp = ping.ping_timestamp;
-  resp.liveness.assign((entity_ids_.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < entity_ids_.size(); ++i) {
-    if (responsive_[i]) {
-      resp.liveness[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-    }
-  }
-  send_session_message(resp, /*force_encrypt=*/false);
-  ++stats_.pings_answered;
-}
-
-void EntityHost::send_session_message(const SessionMessage& sm,
-                                      bool force_encrypt) {
-  pubsub::Message m;
-  m.topic = tt::entity_to_broker(trace_topic_.to_string(),
-                                 session_id_.to_string());
-  m.publisher = identity_.id;
-
-  const bool encrypt =
-      force_encrypt ||
-      config_.signing_mode == EntitySigningMode::kSymmetricSession;
-  if (encrypt) {
-    // §6.3: possession of the session key authenticates the host.
-    m.payload = session_key_.encrypt(sm.serialize(), rng_);
-    m.encrypted = true;
-    m.sequence = ++sequence_;
-    m.timestamp = backend_.now();
-    client_.publish(std::move(m));
-    return;
-  }
-  // §4.2: sign every message, including ping responses.
-  m.payload = sm.serialize();
-  publish_signed(client_, std::move(m), identity_.keys.private_key, sequence_,
-                 backend_.now());
-}
-
-void EntityHost::stop_tracing() {
-  backend_.post(client_.node(), [this] {
-    if (!active_) return;
-    SessionMessage sm;
-    sm.type = SessionMsgType::kSilentMode;
-    send_session_message(sm, false);
-    active_ = false;
-    backend_.cancel(renewal_timer_);
-  });
-}
-
-void EntityHost::disconnect() {
-  backend_.post(client_.node(), [this] {
-    active_ = false;
-    backend_.cancel(renewal_timer_);
-    if (client_.broker() != transport::kInvalidNode) {
-      backend_.unlink(client_.node(), client_.broker());
-    }
-  });
-}
-
-// --- broker-silence failover (DESIGN.md §11, batch form) ------------------
-
-void EntityHost::arm_watchdog() {
-  if (config_.broker_silence_timeout <= 0) return;
-  backend_.cancel(watchdog_timer_);
-  const Duration interval =
-      std::max<Duration>(1, config_.broker_silence_timeout / 2);
-  watchdog_timer_ =
-      backend_.schedule(client_.node(), interval, [this] { on_watchdog(); });
-}
-
-void EntityHost::on_watchdog() {
-  watchdog_timer_ = 0;
-  if (!active_ || failing_over_) return;
-  if (backend_.now() - last_broker_activity_ >=
-      config_.broker_silence_timeout) {
-    ET_LOG(kInfo) << identity_.id
-                  << ": hosting broker silent; starting batch failover";
-    begin_failover();
-    return;
-  }
-  arm_watchdog();
-}
-
-void EntityHost::begin_failover() {
-  failing_over_ = true;
-  active_ = false;
-  backend_.cancel(renewal_timer_);
-  backend_.cancel(watchdog_timer_);
-  watchdog_timer_ = 0;
-  // Sever the dead broker's link: if it is in fact alive (we were merely
-  // partitioned), its next ping send gets kUnavailable and it tears the
-  // stale session down with per-member DISCONNECT traces — exactly the
-  // bookkeeping we want for a session we are abandoning.
-  if (client_.broker() != transport::kInvalidNode &&
-      backend_.linked(client_.node(), client_.broker())) {
-    backend_.unlink(client_.node(), client_.broker());
-  }
-  failover_retry_ = RetryState(config_.retry, backend_.now());
-  attempt_failover();
-}
-
-void EntityHost::attempt_failover() {
-  const std::uint64_t gen = ++failover_gen_;
-  ++stats_.failover_attempts;
-  // One attempt = find_broker -> connect -> resubscribe -> ONE batch
-  // re-registration covering the whole roster -> one re-minted
-  // delegation. The tail after find_broker runs under one timeout; a TDN
-  // may hand us a broker that crashed after registering.
-  const Duration step_timeout =
-      std::max<Duration>(100 * kMillisecond, config_.broker_silence_timeout);
-  disc_.find_broker(
-      [this, gen](Result<discovery::BrokerLocation> r) {
-        backend_.post(client_.node(), [this, gen, r = std::move(r)]() mutable {
-          if (gen != failover_gen_ || !failing_over_) return;
-          if (!r.ok()) {
-            failover_backoff();
-            return;
-          }
-          const discovery::BrokerLocation loc = std::move(r).value();
-          const Duration attempt_timeout = std::max<Duration>(
-              100 * kMillisecond, config_.broker_silence_timeout);
-          failover_timer_ =
-              backend_.schedule(client_.node(), attempt_timeout, [this, gen] {
-                if (gen != failover_gen_ || !failing_over_) return;
-                failover_timer_ = 0;
-                pending_ready_ = nullptr;  // abandon the in-flight attempt
-                if (client_.broker() != transport::kInvalidNode &&
-                    backend_.linked(client_.node(), client_.broker())) {
-                  backend_.unlink(client_.node(), client_.broker());
-                }
-                failover_backoff();
-              });
-          client_.connect(loc.node, broker_params_, [this,
-                                                     gen](const Status& s) {
-            if (gen != failover_gen_ || !failing_over_) return;
-            if (!s.is_ok()) return;  // the per-attempt timeout handles it
-            // The new broker knows none of our subscriptions (broker-side
-            // state is per-broker): replay them, then re-register the
-            // batch. The subscribe frames travel the same ordered link
-            // first, so the registration response cannot outrun its
-            // subscription.
-            client_.resubscribe_all();
-            register_with_broker([this, gen](const Status& rs) {
-              if (gen != failover_gen_ || !failing_over_) return;
-              backend_.cancel(failover_timer_);
-              failover_timer_ = 0;
-              if (!rs.is_ok()) {
-                failover_backoff();
-                return;
-              }
-              finish_failover();
-            });
-          });
-        });
-      },
-      step_timeout);
-}
-
-void EntityHost::failover_backoff() {
-  Duration delay = 0;
-  if (!failover_retry_.next_delay(backend_.now(), rng_, &delay)) {
-    // An availability reporter must never stop trying to report: once the
-    // policy's budget is spent, restart the schedule at max-backoff
-    // cadence instead of giving up.
-    failover_retry_ = RetryState(config_.retry, backend_.now());
-    delay = std::max<Duration>(1, config_.retry.max_backoff);
-  }
-  failover_timer_ = backend_.schedule(client_.node(), delay, [this] {
-    failover_timer_ = 0;
-    if (failing_over_) attempt_failover();
-  });
-}
-
-void EntityHost::finish_failover() {
-  failing_over_ = false;
-  ++stats_.failovers;
-  last_broker_activity_ = backend_.now();
-  ET_LOG(kInfo) << identity_.id << ": batch failover complete, session "
-                << session_id_.to_string();
-  // Unlike TracedEntity there is no RECOVERING announcement: hosts carry
-  // no per-member state machine, and the broker's next ping round
-  // re-establishes every member's liveness from the bitmap.
+  start(std::move(restrictions), std::move(entity_ids), std::move(on_ready));
 }
 
 void EntityHost::set_responsive(const std::string& entity_id,
                                 bool responsive) {
   backend_.post(client_.node(), [this, entity_id, responsive] {
-    const auto it = index_of_.find(entity_id);
-    if (it == index_of_.end()) return;
-    responsive_[it->second] = responsive ? 1 : 0;
-  });
-}
-
-void EntityHost::set_all_responsive(bool responsive) {
-  backend_.post(client_.node(), [this, responsive] {
-    host_responsive_ = responsive;
+    const auto it = std::find(roster_.begin(), roster_.end(), entity_id);
+    if (it == roster_.end()) return;
+    alive_[it - roster_.begin()] = responsive ? 1 : 0;
   });
 }
 

@@ -2,7 +2,8 @@
 // co-hosted entities.
 //
 // A host process running many entities (a container runtime, an actor
-// system, a service mesh sidecar) registers them with ONE round-trip:
+// system, a service mesh sidecar) runs one EntitySession (see
+// entity_session.h) for its whole roster:
 //   1. mint a single trace topic `Availability/Traces/<host-id>` at the
 //      TDN — trackers discover members through the host topic;
 //   2. send one signed BatchRegistrationRequest naming every member over
@@ -17,61 +18,23 @@
 //
 // The broker fans the bitmap back out into per-member observations and
 // (when digests are enabled) coalesces the resulting ALLS_WELLs, so
-// trackers keep exact per-entity semantics.
+// trackers keep exact per-entity semantics. A failover re-homes the whole
+// roster with one batch re-registration and announces nothing: hosts carry
+// no per-member state machine, and the broker's next ping round
+// re-establishes every member's liveness from the bitmap.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/crypto/credential.h"
-#include "src/crypto/secret_key.h"
-#include "src/discovery/discovery_client.h"
-#include "src/pubsub/client.h"
-#include "src/tracing/authorization_token.h"
-#include "src/tracing/config.h"
-#include "src/tracing/registration.h"
-#include "src/tracing/trace_message.h"
+#include "src/tracing/entity_session.h"
 
 namespace et::tracing {
 
-/// Counters for tests/benches.
-struct EntityHostStats {
-  std::uint64_t pings_received = 0;
-  std::uint64_t pings_answered = 0;
-  std::uint64_t registrations = 0;  // completed batch registrations
-  std::uint64_t failover_attempts = 0;  // find_broker rounds started
-  std::uint64_t failovers = 0;          // completed re-registrations
-};
-
-class EntityHost {
+class EntityHost : public EntitySession {
  public:
   EntityHost(transport::NetworkBackend& backend, crypto::Identity identity,
              TrustAnchors anchors, TracingConfig config, std::uint64_t seed);
-
-  EntityHost(const EntityHost&) = delete;
-  EntityHost& operator=(const EntityHost&) = delete;
-
-  /// Cancels the token-renewal timer; member clients detach their nodes.
-  ~EntityHost();
-
-  /// Links the discovery client to a TDN.
-  void attach_tdn(transport::NodeId tdn, const transport::LinkParams& params);
-
-  /// Connects the pub/sub client to a broker.
-  void connect_broker(transport::NodeId broker,
-                      const transport::LinkParams& params);
-
-  /// Bench hook: pre-generated delegate key pair to reuse instead of
-  /// minting a fresh one per delegation. RSA keygen dominates setup time
-  /// at bench scale and is not what E16 measures. Must be called before
-  /// register_entities(); production callers should not use it (a fresh
-  /// delegate pair per delegation is the §4.3 hygiene).
-  void set_delegate_keys(crypto::RsaKeyPair keys);
-
-  using ReadyCallback = std::function<void(const Status&)>;
 
   /// Runs steps 1-3 above for `entity_ids` (the batch registration
   /// order — liveness bitmap bit i refers to entity_ids[i] forever
@@ -82,94 +45,16 @@ class EntityHost {
                          std::vector<std::string> entity_ids,
                          ReadyCallback on_ready);
 
-  /// §3.3 "disable tracing" for the whole roster: the broker publishes
-  /// REVERTING_TO_SILENT_MODE and drops the host session.
-  void stop_tracing();
-
-  /// Abrupt departure: severs the broker link without notice. The broker
-  /// publishes per-member DISCONNECT traces when it notices.
-  void disconnect();
+  /// set_responsive(bool) hangs the whole host.
+  using EntitySession::set_responsive;
 
   /// Failure injection for one member: while false, its liveness bit
   /// stays clear, driving per-member suspicion/failure at the broker
   /// while the rest of the roster keeps reporting healthy.
   void set_responsive(const std::string& entity_id, bool responsive);
 
-  /// Failure injection for the whole host: while false, pings are
-  /// swallowed entirely (hung host), driving whole-roster escalation.
-  void set_all_responsive(bool responsive);
-
-  /// True while the host is hunting for a replacement broker after its
-  /// hosting broker went silent (TracingConfig::broker_silence_timeout).
-  /// One failover re-homes the entire roster: one find_broker round, one
-  /// batch re-registration, one re-minted delegation.
-  [[nodiscard]] bool failing_over() const { return failing_over_; }
-
   [[nodiscard]] const std::string& host_id() const { return identity_.id; }
-  [[nodiscard]] std::size_t entity_count() const { return entity_ids_.size(); }
-  [[nodiscard]] const Uuid& trace_topic() const { return trace_topic_; }
-  [[nodiscard]] const Uuid& session_id() const { return session_id_; }
-  [[nodiscard]] bool tracing_active() const { return active_; }
-  [[nodiscard]] const discovery::TopicAdvertisement& advertisement() const {
-    return advertisement_;
-  }
-  [[nodiscard]] const EntityHostStats& stats() const { return stats_; }
-  [[nodiscard]] pubsub::Client& client() { return client_; }
-
- private:
-  void register_with_broker(ReadyCallback on_ready);
-  void on_registration_response(const pubsub::Message& m);
-  void deliver_delegation(ReadyCallback on_ready);
-  void on_ping(const pubsub::Message& m);
-  // Broker-silence failover, mirroring TracedEntity (DESIGN.md §11) with
-  // the batch twist: one re-registration re-homes the whole roster. All
-  // run in the client context.
-  void arm_watchdog();
-  void on_watchdog();
-  void begin_failover();
-  void attempt_failover();
-  void failover_backoff();
-  void finish_failover();
-  /// Sends a session message, authenticated per the configured mode.
-  /// Token/key deliveries are always encrypted regardless of mode.
-  void send_session_message(const SessionMessage& sm, bool force_encrypt);
-
-  transport::NetworkBackend& backend_;
-  crypto::Identity identity_;
-  TrustAnchors anchors_;
-  TracingConfig config_;
-  Rng rng_;
-  pubsub::Client client_;
-  discovery::DiscoveryClient disc_;
-
-  discovery::TopicAdvertisement advertisement_;
-  Uuid trace_topic_;
-  Uuid session_id_;
-  crypto::SecretKey session_key_;
-  crypto::SecretKey trace_key_;
-  std::optional<crypto::RsaKeyPair> preset_delegate_;
-  std::vector<std::string> entity_ids_;   // batch registration order
-  std::vector<std::uint8_t> responsive_;  // parallel to entity_ids_
-  std::map<std::string, std::size_t> index_of_;
-  std::uint64_t registration_request_id_ = 0;
-  /// Completion callback of the registration in flight; consumed exactly
-  /// once per attempt (re-registration replaces it).
-  ReadyCallback pending_ready_;
-  bool registration_subscribed_ = false;
-  std::uint64_t sequence_ = 0;
-  transport::TimerId renewal_timer_ = 0;
-  bool active_ = false;
-  bool host_responsive_ = true;
-  // Failover state. `failover_gen_` versions the in-flight attempt so
-  // stale discovery/connect/registration callbacks are ignored.
-  transport::LinkParams broker_params_{};
-  TimePoint last_broker_activity_ = 0;
-  transport::TimerId watchdog_timer_ = 0;
-  transport::TimerId failover_timer_ = 0;  // backoff OR per-attempt timeout
-  bool failing_over_ = false;
-  std::uint64_t failover_gen_ = 0;
-  RetryState failover_retry_ = RetryState(RetryPolicy::none(), 0);
-  EntityHostStats stats_;
+  [[nodiscard]] std::size_t entity_count() const { return roster_.size(); }
 };
 
 }  // namespace et::tracing

@@ -89,9 +89,9 @@ struct SessionMessage {
   Bytes delegate_secret;
   /// kTraceKeyDelivery: serialized crypto::SecretKey.
   Bytes trace_key;
-  /// kPingResponse from an EntityHost: per-member responsiveness bitmap
-  /// (bit i = member i of the batch registration order is responsive).
-  /// Empty for single-entity sessions.
+  /// kPingResponse: per-member responsiveness bitmap (bit i = member i of
+  /// the batch registration order is responsive). A single entity sends
+  /// it empty, and an empty bitmap answers for every roster member.
   Bytes liveness;
 
   [[nodiscard]] Bytes serialize() const;

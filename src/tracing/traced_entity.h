@@ -1,84 +1,32 @@
 // The traced-entity client (paper §3.1/§3.2, §4.2, §4.3, §6.3).
 //
-// An entity that wants to be traced composes a pub/sub client and a
-// discovery client and walks the paper's sequence:
-//   1. create the trace topic at a TDN (credential + descriptor
-//      `Availability/Traces/<entity-id>` + discovery restrictions +
-//      lifetime) and receive the signed advertisement;
-//   2. register with its broker over the Registration constrained topic —
-//      the request carries the advertisement and is signed to prove
-//      private-key possession;
-//   3. decrypt the hybrid-encrypted registration response (session id +
-//      session key), subscribe to the ping topic;
-//   4. generate a fresh delegate key pair, mint the authorization token
-//      and deliver {token, delegate private key} to the broker over the
-//      encrypted session channel — plus the secret trace key when
-//      confidential traces are requested (§5.1);
-//   5. answer pings and push state/load reports, signing every message
-//      (§4.2) or encrypting with the session key instead (§6.3 mode).
+// An entity that wants to be traced runs one EntitySession (see
+// entity_session.h for the paper's sequence) whose roster is just itself:
+// it mints `Availability/Traces/<entity-id>`, registers with a
+// RegistrationRequest, delegates a token and answers pings. On top of the
+// session it pushes state/load reports, and after a broker failover it
+// announces RECOVERING, then its resumed state.
 #pragma once
 
-#include <functional>
 #include <string>
 
-#include "src/crypto/credential.h"
-#include "src/crypto/secret_key.h"
-#include "src/discovery/discovery_client.h"
-#include "src/pubsub/client.h"
-#include "src/tracing/authorization_token.h"
-#include "src/tracing/config.h"
-#include "src/tracing/registration.h"
-#include "src/tracing/trace_message.h"
+#include "src/tracing/entity_session.h"
 
 namespace et::tracing {
 
-/// Counters for tests/benches.
-struct TracedEntityStats {
-  std::uint64_t pings_received = 0;
-  std::uint64_t pings_answered = 0;
-  std::uint64_t reports_sent = 0;
-  std::uint64_t failover_attempts = 0;  // find_broker rounds started
-  std::uint64_t failovers = 0;          // completed re-registrations
-};
-
-class TracedEntity {
+class TracedEntity : public EntitySession {
  public:
   TracedEntity(transport::NetworkBackend& backend, crypto::Identity identity,
                TrustAnchors anchors, TracingConfig config, std::uint64_t seed);
 
-  TracedEntity(const TracedEntity&) = delete;
-  TracedEntity& operator=(const TracedEntity&) = delete;
-
-  /// Cancels the token-renewal timer; member clients detach their nodes.
+  /// Cancels the recovery-announcement timer.
   ~TracedEntity();
 
-  /// Links the discovery client to a TDN.
-  void attach_tdn(transport::NodeId tdn, const transport::LinkParams& params);
-
-  /// Connects the pub/sub client to a broker.
-  void connect_broker(transport::NodeId broker,
-                      const transport::LinkParams& params);
-
-  using ReadyCallback = std::function<void(const Status&)>;
-
-  /// Runs steps 1-4 above. `restrictions` controls who may discover the
-  /// trace topic. `on_ready` fires once the delegation is delivered (or
-  /// with the first error).
+  /// Runs the session's steps 1-4. `restrictions` controls who may
+  /// discover the trace topic. `on_ready` fires once the delegation is
+  /// delivered (or with the first error).
   void start_tracing(discovery::DiscoveryRestrictions restrictions,
                      ReadyCallback on_ready);
-
-  /// §3.3 "disable tracing": tells the broker to publish
-  /// REVERTING_TO_SILENT_MODE and drop the session.
-  void stop_tracing();
-
-  /// Abrupt departure: severs the broker link without notice. The hosting
-  /// broker publishes a DISCONNECT trace when it next fails to reach us.
-  void disconnect();
-
-  /// Re-delegates immediately: fresh delegate key pair + token delivered
-  /// to the broker (§4.3 token renewal). Runs automatically near expiry
-  /// when TracingConfig::auto_renew_tokens is set.
-  void renew_token();
 
   /// Reports a state transition (broker republishes on StateTransitions).
   void set_state(EntityState state);
@@ -86,74 +34,15 @@ class TracedEntity {
   /// Reports load (broker republishes on Load).
   void report_load(const LoadInfo& load);
 
-  /// Failure injection: while false, pings are swallowed, which drives the
-  /// broker's suspicion/failure escalation.
-  void set_responsive(bool responsive);
-
-  /// True while the entity is hunting for a replacement broker after its
-  /// hosting broker went silent (TracingConfig::broker_silence_timeout).
-  [[nodiscard]] bool failing_over() const { return failing_over_; }
-
   [[nodiscard]] const std::string& entity_id() const { return identity_.id; }
-  [[nodiscard]] const Uuid& trace_topic() const { return trace_topic_; }
-  [[nodiscard]] const Uuid& session_id() const { return session_id_; }
-  [[nodiscard]] bool tracing_active() const { return active_; }
-  [[nodiscard]] const discovery::TopicAdvertisement& advertisement() const {
-    return advertisement_;
-  }
   [[nodiscard]] EntityState state() const { return state_; }
-  [[nodiscard]] const TracedEntityStats& stats() const { return stats_; }
-  [[nodiscard]] pubsub::Client& client() { return client_; }
 
  private:
-  void register_with_broker(ReadyCallback on_ready);
-  void on_registration_response(const pubsub::Message& m);
-  void deliver_delegation(ReadyCallback on_ready);
-  void on_ping(const pubsub::Message& m);
-  // Broker-silence failover (DESIGN.md §11). All run in the client context.
-  void arm_watchdog();
-  void on_watchdog();
-  void begin_failover();
-  void attempt_failover();
-  void failover_backoff();
-  void finish_failover();
-  /// Sends a session message, authenticated per the configured mode.
-  /// Token/key deliveries are always encrypted regardless of mode.
-  void send_session_message(const SessionMessage& sm, bool force_encrypt);
+  /// Reports RECOVERING, then the resumed state, after a failover.
+  void announce_recovery();
 
-  transport::NetworkBackend& backend_;
-  crypto::Identity identity_;
-  TrustAnchors anchors_;
-  TracingConfig config_;
-  Rng rng_;
-  pubsub::Client client_;
-  discovery::DiscoveryClient disc_;
-
-  discovery::TopicAdvertisement advertisement_;
-  Uuid trace_topic_;
-  Uuid session_id_;
-  crypto::SecretKey session_key_;
-  crypto::SecretKey trace_key_;
-  std::uint64_t registration_request_id_ = 0;
-  /// Completion callback of the registration in flight; consumed exactly
-  /// once per attempt (re-registration replaces it).
-  ReadyCallback pending_ready_;
-  bool registration_subscribed_ = false;
-  std::uint64_t sequence_ = 0;
-  transport::TimerId renewal_timer_ = 0;
-  bool active_ = false;
-  bool responsive_ = true;
-  // Failover state. `failover_gen_` versions the in-flight attempt so
-  // stale discovery/connect/registration callbacks are ignored.
-  transport::LinkParams broker_params_{};
-  TimePoint last_broker_activity_ = 0;
-  transport::TimerId watchdog_timer_ = 0;
-  transport::TimerId failover_timer_ = 0;  // backoff OR per-attempt timeout
-  bool failing_over_ = false;
-  std::uint64_t failover_gen_ = 0;
-  RetryState failover_retry_ = RetryState(RetryPolicy::none(), 0);
   EntityState state_ = EntityState::kInitializing;
-  TracedEntityStats stats_;
+  transport::TimerId announce_timer_ = 0;
 };
 
 }  // namespace et::tracing

@@ -41,35 +41,15 @@ TracingBrokerService::TracingBrokerService(pubsub::Broker& broker,
       [this](const pubsub::Message& m) { handle_batch_registration(m); },
       /*local_only=*/true);
   // A client whose link vanished without a silent-mode request gets a
-  // DISCONNECT trace (paper Table 1) and its session torn down. For a host
-  // session every roster member is disconnected individually so trackers
-  // keep per-entity semantics.
+  // DISCONNECT trace (paper Table 1) and its session torn down. Every
+  // roster member is disconnected individually so trackers keep
+  // per-entity semantics.
   broker_.add_client_unreachable_listener([this](const std::string& entity) {
     const auto it = by_entity_.find(entity);
     if (it == by_entity_.end()) return;
     const auto sit = sessions_.find(it->second);
     if (sit == sessions_.end()) return;
-    Session& s = sit->second;
-    const Uuid sid = s.session_id;
-    if (s.is_host()) {
-      const auto members = s.members;
-      for (const auto h : members) {
-        if (!sessions_.contains(sid)) return;
-        if (!roster_.contains(h)) continue;
-        TracePayload p;
-        p.type = TraceType::kDisconnect;
-        p.entity_id = roster_[h].entity_id;
-        p.detail = "client link lost";
-        publish_trace(s, std::move(p));
-      }
-    } else {
-      TracePayload p;
-      p.type = TraceType::kDisconnect;
-      p.entity_id = entity;
-      p.detail = "client link lost";
-      publish_trace(s, std::move(p));
-    }
-    if (sessions_.contains(sid)) erase_session(s);
+    disconnect_session(sit->second, "client link lost");
   });
 }
 
@@ -89,11 +69,9 @@ TracingBrokerService::SessionView TracingBrokerService::session_view(
   v.current_ping_interval = s.ping_interval;
   v.effective_interest = effective_interest(s);
   v.secure = s.secure;
-  if (s.entity_id == entity_id || !s.is_host()) {
-    v.suspected = s.suspected;
-    v.failed = s.failed;
-    return v;
-  }
+  // A host id is no member: it reads the whole host's miss count.
+  v.suspected = s.consecutive_misses >= config_.suspicion_misses;
+  v.failed = s.consecutive_misses >= config_.failed_misses;
   for (const auto h : s.members) {
     if (!roster_.contains(h)) continue;
     const MemberRecord& rec = roster_[h];
@@ -257,8 +235,9 @@ void TracingBrokerService::handle_registration(const pubsub::Message& m) {
                            req.advertisement, req.request_id)) {
     return;
   }
+  // A single entity is a roster of one.
   mint_session(req.entity_id, req.credential, req.advertisement,
-               req.request_id, {});
+               req.request_id, {req.entity_id});
 }
 
 void TracingBrokerService::handle_batch_registration(const pubsub::Message& m) {
@@ -458,6 +437,23 @@ void TracingBrokerService::member_alive(Session& s, MemberRecord& rec) {
   publish_trace(s, std::move(p));
 }
 
+void TracingBrokerService::disconnect_session(Session& s,
+                                              const std::string& detail) {
+  const Uuid sid = s.session_id;
+  const auto members = s.members;
+  for (const auto h : members) {
+    if (!sessions_.contains(sid)) return;
+    if (!roster_.contains(h)) continue;
+    TracePayload p;
+    p.type = TraceType::kDisconnect;
+    p.entity_id = roster_[h].entity_id;
+    p.detail = detail;
+    publish_trace(s, std::move(p));
+  }
+  // The publish may have reentrantly torn the session down already.
+  if (sessions_.contains(sid)) erase_session(s);
+}
+
 void TracingBrokerService::on_ping_timer(const Uuid& session_id) {
   const auto it = sessions_.find(session_id);
   if (it == sessions_.end()) return;
@@ -469,80 +465,35 @@ void TracingBrokerService::on_ping_timer(const Uuid& session_id) {
     ++s.consecutive_misses;
     // Hasten detection: shrink the interval (§3.3).
     s.ping_interval = std::max(config_.min_ping_interval, s.ping_interval / 2);
-    if (s.is_host()) {
-      // Whole-host miss: every member accrues one miss and escalates on
-      // its own thresholds. Session-level flags track the host for the
-      // disconnect escalation below; no host-level trace is published —
-      // trackers observe per-member suspicions.
-      s.suspected = s.consecutive_misses >= config_.suspicion_misses;
-      s.failed = s.consecutive_misses >= config_.failed_misses;
-      const auto members = s.members;
-      for (const auto h : members) {
-        if (!sessions_.contains(session_id)) return;
-        if (!roster_.contains(h)) continue;
-        member_miss(s, roster_[h]);
-      }
+    // A whole-session miss: every member accrues one miss and escalates on
+    // its own thresholds.
+    const auto members = s.members;
+    for (const auto h : members) {
       if (!sessions_.contains(session_id)) return;
-    } else if (!s.failed && s.consecutive_misses >= config_.failed_misses) {
-      s.failed = true;
-      ++stats_.failures;
-      TracePayload p;
-      p.type = TraceType::kFailed;
-      p.entity_id = s.entity_id;
-      p.detail = "no ping response after " +
-                 std::to_string(s.consecutive_misses) + " attempts";
-      publish_trace(s, std::move(p));
-    } else if (!s.suspected &&
-               s.consecutive_misses >= config_.suspicion_misses) {
-      s.suspected = true;
-      ++stats_.suspicions;
-      TracePayload p;
-      p.type = TraceType::kFailureSuspicion;
-      p.entity_id = s.entity_id;
-      p.detail = std::to_string(s.consecutive_misses) +
-                 " consecutive pings unanswered";
-      publish_trace(s, std::move(p));
+      if (!roster_.contains(h)) continue;
+      member_miss(s, roster_[h]);
     }
+    if (!sessions_.contains(session_id)) return;
   }
 
-  // Final escalation: once an entity has stayed FAILED long enough
+  // Final escalation: once a session has stayed FAILED long enough
   // (disconnect_misses total consecutive misses), presume departure —
   // publish DISCONNECT and drop the session instead of probing forever.
   // The entity must then re-register, so trackers observe an explicit
   // RECOVERING -> READY transition rather than an unexplained revival.
-  if (config_.disconnect_misses > 0 && s.failed &&
+  const bool failed = s.consecutive_misses >= config_.failed_misses;
+  if (config_.disconnect_misses > 0 && failed &&
       s.consecutive_misses >= config_.disconnect_misses) {
     ++stats_.disconnects;
-    if (s.is_host()) {
-      const auto members = s.members;
-      for (const auto h : members) {
-        if (!sessions_.contains(session_id)) return;
-        if (!roster_.contains(h)) continue;
-        TracePayload p;
-        p.type = TraceType::kDisconnect;
-        p.entity_id = roster_[h].entity_id;
-        p.detail = "presumed departed: " +
-                   std::to_string(s.consecutive_misses) +
-                   " consecutive pings unanswered";
-        publish_trace(s, std::move(p));
-      }
-    } else {
-      TracePayload p;
-      p.type = TraceType::kDisconnect;
-      p.entity_id = s.entity_id;
-      p.detail = "presumed departed: " + std::to_string(s.consecutive_misses) +
-                 " consecutive pings unanswered";
-      publish_trace(s, std::move(p));
-    }
-    // The publish may have reentrantly torn the session down already.
-    const auto sit = sessions_.find(session_id);
-    if (sit != sessions_.end()) erase_session(sit->second);
+    disconnect_session(s, "presumed departed: " +
+                              std::to_string(s.consecutive_misses) +
+                              " consecutive pings unanswered");
     return;
   }
 
   // Issue the next ping (§3.3: monotonically increasing number + broker
-  // timestamp). A FAILED entity keeps getting probed — at the relaxed base
-  // rate — so recovery is eventually observed. One ping covers a host's
+  // timestamp). A FAILED session keeps getting probed — at the relaxed
+  // base rate — so recovery is eventually observed. One ping covers the
   // whole roster; the response's liveness bitmap fans it back out.
   SessionMessage ping;
   ping.type = SessionMsgType::kPing;
@@ -569,7 +520,7 @@ void TracingBrokerService::on_ping_timer(const Uuid& session_id) {
     s.window.pop_front();
   }
 
-  const Duration next = s.failed ? config_.ping_interval : s.ping_interval;
+  const Duration next = failed ? config_.ping_interval : s.ping_interval;
   const Uuid sid = s.session_id;
   s.ping_timer = wheel_.schedule(next, [this, sid] { on_ping_timer(sid); });
 }
@@ -597,35 +548,24 @@ void TracingBrokerService::handle_ping_response(Session& s,
   s.consecutive_misses = 0;
   // Relax the interval back toward the configured base.
   s.ping_interval = std::min(config_.ping_interval, s.ping_interval * 2);
-  const bool was_down = s.suspected || s.failed;
-  s.suspected = false;
-  s.failed = false;
 
-  if (s.is_host()) {
-    // Fan the liveness bitmap back out: bit i covers roster member i.
-    // A responsive host answers for its members; a clear bit is a
-    // per-member miss even though the host itself is up.
-    const Uuid sid = s.session_id;
-    const auto members = s.members;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (!sessions_.contains(sid)) return;
-      if (!roster_.contains(members[i])) continue;
-      const bool alive = i / 8 < sm.liveness.size() &&
-                         ((sm.liveness[i / 8] >> (i % 8)) & 1u) != 0;
-      if (alive) {
-        member_alive(s, roster_[members[i]]);
-      } else {
-        member_miss(s, roster_[members[i]]);
-      }
+  // Fan the liveness bitmap back out: bit i covers roster member i; a
+  // clear bit is a per-member miss even though the session answered. An
+  // empty bitmap (a single entity's response) answers for every member.
+  const Uuid sid = s.session_id;
+  const auto members = s.members;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (!sessions_.contains(sid)) return;
+    if (!roster_.contains(members[i])) continue;
+    const bool alive = sm.liveness.empty() ||
+                       (i / 8 < sm.liveness.size() &&
+                        ((sm.liveness[i / 8] >> (i % 8)) & 1u) != 0);
+    if (alive) {
+      member_alive(s, roster_[members[i]]);
+    } else {
+      member_miss(s, roster_[members[i]]);
     }
-    return;
   }
-
-  TracePayload p;
-  p.type = TraceType::kAllsWell;
-  p.entity_id = s.entity_id;
-  if (was_down) p.detail = "entity responsive again";
-  publish_trace(s, std::move(p));
 }
 
 void TracingBrokerService::on_metrics_timer(const Uuid& session_id) {

@@ -10,13 +10,14 @@
 // broker. The service:
 //   * verifies trace registrations (credential chain + proof of
 //     possession + advertisement provenance) and mints sessions with
-//     hybrid-encrypted responses (§3.2); batch registrations mint one
-//     session for a whole co-hosted entity roster (DESIGN.md §14);
-//   * pings each traced entity on an adaptive interval, maintains the
+//     hybrid-encrypted responses (§3.2). Every session holds a roster: a
+//     single-entity registration's roster is the entity itself, a batch
+//     registration's the whole co-hosted roster (DESIGN.md §14);
+//   * pings each session on an adaptive interval, maintains the
 //     last-10-pings window, and escalates FAILURE_SUSPICION -> FAILED on
-//     consecutive misses (§3.3); for host sessions one ping covers the
-//     roster and the response's liveness bitmap drives per-member
-//     escalation;
+//     consecutive misses (§3.3) per roster member: one ping covers the
+//     roster and the response's liveness bitmap (empty = every member)
+//     says which members answered;
 //   * publishes traces on the per-category derived topics through a
 //     TraceEmitter, every one carrying the entity's authorization token
 //     and a delegate-key signature (§4.3); with digests enabled, plain
@@ -103,9 +104,8 @@ class TracingBrokerService {
   [[nodiscard]] std::size_t roster_bytes() const { return roster_.bytes(); }
   [[nodiscard]] std::size_t roster_size() const { return roster_.size(); }
 
-  /// Ping-window diagnostics for one traced entity (tests). For a batch
-  /// member the flags come from its roster record; interval/interest are
-  /// the host session's.
+  /// Ping-window diagnostics for one traced entity (tests). The flags
+  /// come from its roster record; interval/interest are its session's.
   struct SessionView {
     bool exists = false;
     bool suspected = false;
@@ -128,9 +128,8 @@ class TracingBrokerService {
     std::uint8_t mask = 0;
     std::uint64_t last_round = 0;
   };
-  /// One co-hosted entity of a batch session. Lives in the roster arena;
-  /// the session holds handles in registration order (= liveness bit
-  /// order).
+  /// One roster member of a session. Lives in the roster arena; the
+  /// session holds handles in registration order (= liveness bit order).
   struct MemberRecord {
     std::string entity_id;
     int consecutive_misses = 0;
@@ -154,16 +153,14 @@ class TracingBrokerService {
     /// by broker failover has no recorded interest yet, and its
     /// RECOVERING announcement must not vanish).
     std::optional<EntityState> last_state;
-    /// Batch-session roster handles, in liveness-bit order. Empty for
-    /// single-entity sessions.
+    /// Roster handles, in liveness-bit order. A single-entity session's
+    /// roster is the entity itself.
     std::vector<SlotArena<MemberRecord>::Handle> members;
 
     Duration ping_interval = 0;
     std::uint64_t next_ping_number = 1;
     std::uint64_t last_responded = 0;
-    int consecutive_misses = 0;
-    bool suspected = false;
-    bool failed = false;
+    int consecutive_misses = 0;  // whole-session misses (ping cadence)
     std::deque<PingRecord> window;  // last N pings
     std::map<std::uint64_t, TimePoint> outstanding;
 
@@ -173,8 +170,6 @@ class TracingBrokerService {
     TimerWheel::WheelId ping_timer = 0;
     TimerWheel::WheelId gauge_timer = 0;
     TimerWheel::WheelId metrics_timer = 0;
-
-    [[nodiscard]] bool is_host() const { return !members.empty(); }
   };
 
   void handle_registration(const pubsub::Message& m);
@@ -186,8 +181,8 @@ class TracingBrokerService {
                            const crypto::Credential& credential,
                            const discovery::TopicAdvertisement& advertisement,
                            std::uint64_t request_id);
-  /// Mints the session, wires its topics/timers and sends the sealed
-  /// response. `member_ids` non-empty makes it a batch (host) session.
+  /// Mints the session over the roster `member_ids`, wires its
+  /// topics/timers and sends the sealed response.
   void mint_session(const std::string& id, const crypto::Credential& cred,
                     const discovery::TopicAdvertisement& ad,
                     std::uint64_t request_id,
@@ -203,10 +198,12 @@ class TracingBrokerService {
   void handle_token_delivery(Session& s, const SessionMessage& sm);
   void deliver_trace_key(Session& s, const InterestResponse& resp);
   void publish_trace(Session& s, TracePayload payload);
-  /// Per-member miss/recovery escalation for host sessions. Both may
-  /// reentrantly tear the session down; callers re-check liveness.
+  /// The failure ladder, per roster member. Both may reentrantly tear the
+  /// session down; callers re-check liveness.
   void member_miss(Session& s, MemberRecord& rec);
   void member_alive(Session& s, MemberRecord& rec);
+  /// Publishes DISCONNECT for every member, then tears the session down.
+  void disconnect_session(Session& s, const std::string& detail);
   void publish_registration_error(const std::string& entity_id,
                                   std::uint64_t request_id,
                                   const std::string& error);
@@ -229,7 +226,7 @@ class TracingBrokerService {
   TimerWheel wheel_;
   TraceEmitter emitter_;
   std::map<Uuid, Session> sessions_;
-  /// entity id -> session; batch members alias their host's session.
+  /// entity id -> session; roster members alias their session.
   std::map<std::string, Uuid> by_entity_;
   SlotArena<MemberRecord> roster_;
   TracingBrokerStats stats_;

@@ -70,25 +70,5 @@ TEST(RunningStatsTest, NumericalStabilityLargeOffset) {
   EXPECT_NEAR(s.stddev(), std::sqrt(30.0), 1e-6);
 }
 
-TEST(HistogramTest, EmptyPercentileIsZero) {
-  Histogram h;
-  EXPECT_EQ(h.percentile(50), 0.0);
-}
-
-TEST(HistogramTest, PercentilesOfUniformRange) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.add(i);
-  EXPECT_NEAR(h.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(h.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(h.percentile(50), 50.5, 1e-9);
-}
-
-TEST(HistogramTest, SingleElement) {
-  Histogram h;
-  h.add(42.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0), 42.0);
-  EXPECT_DOUBLE_EQ(h.percentile(99), 42.0);
-}
-
 }  // namespace
 }  // namespace et

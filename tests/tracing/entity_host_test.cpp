@@ -17,6 +17,8 @@
 namespace et::tracing {
 namespace {
 
+using testing::Observed;
+using testing::record_observations;
 using testing::TracingHarness;
 
 std::vector<std::string> member_ids(std::size_t n) {
@@ -189,15 +191,8 @@ TEST(EntityHostTest, HostDisconnectFansOutPerMemberDisconnects) {
 }
 
 TEST(EntityHostTest, BrokerSilenceTriggersBatchFailover) {
-  TracingConfig c = digest_config();
-  c.broker_silence_timeout = 600 * kMillisecond;
-  RetryPolicy r;
-  r.max_attempts = 0;  // an availability reporter never gives up
-  r.initial_backoff = 50 * kMillisecond;
-  r.max_backoff = 400 * kMillisecond;
-  r.deadline = 10 * kSecond;
-  c.retry = r;
-  HostFixture f(/*brokers=*/2, /*members=*/8, c);
+  HostFixture f(/*brokers=*/2, /*members=*/8,
+                TracingHarness::failover_config(digest_config()));
   f.h.register_brokers();
   ASSERT_TRUE(f.host->tracing_active());
   ASSERT_EQ(f.host->stats().registrations, 1u);
@@ -249,6 +244,153 @@ TEST(EntityHostTest, PassthroughConfigStillDeliversPerEntity) {
   }
   EXPECT_EQ(tracker->stats().digests_received, 0u);
   EXPECT_EQ(f.h.services[0]->emitter_stats().digests_published, 0u);
+}
+
+TEST(EntityHostTest, TokenRenewalsAreNotRegistrations) {
+  TracingConfig c = digest_config();
+  c.token_lifetime = 2 * kSecond;  // renewals at 1.5 s, 3 s and 4.5 s
+  HostFixture f(/*brokers=*/1, /*members=*/4, c);
+  f.h.net.run_for(5 * kSecond);
+  EXPECT_TRUE(f.host->tracing_active());
+  EXPECT_EQ(f.host->stats().registrations, 1u);
+  EXPECT_EQ(f.h.services[0]->stats().registrations, 1u);
+}
+
+// The exact observations of the broker's failure ladder for a 3-member
+// roster; LifecycleTest pins the same ladders for one TracedEntity.
+
+/// Tracks host-0 on `broker_index`, recording ladder observations.
+std::unique_ptr<Tracker> observe_host(HostFixture& f, std::vector<Observed>* seen,
+                                      std::size_t broker_index = 0) {
+  auto tracker = f.h.make_tracker("observer", broker_index);
+  bool done = false;
+  tracker->track_host("host-0", kCatChangeNotifications | kCatAllUpdates,
+                      record_observations(seen),
+                      [&](const Status&) { done = true; });
+  for (int i = 0; i < 100 && !done; ++i) f.h.net.run_for(50 * kMillisecond);
+  EXPECT_TRUE(done);
+  f.h.net.run_for(300 * kMillisecond);
+  return tracker;
+}
+
+TEST(EntityHostTest, MemberLadderSuspectsFailsThenRecovers) {
+  HostFixture f(/*brokers=*/1, /*members=*/3);
+  std::vector<Observed> seen;
+  auto tracker = observe_host(f, &seen);
+
+  f.host->set_responsive("member-1", false);
+  f.h.net.run_for(3 * kSecond);
+  f.host->set_responsive("member-1", true);
+  f.h.net.run_for(1 * kSecond);
+  EXPECT_EQ(seen,
+            (std::vector<Observed>{
+                {TraceType::kFailureSuspicion, "member-1",
+                 "3 consecutive pings unanswered"},
+                {TraceType::kFailed, "member-1",
+                 "no ping response after 6 attempts"},
+                {TraceType::kAllsWell, "member-1",
+                 "entity responsive again"}}));
+}
+
+TEST(EntityHostTest, SilentMemberOfALiveHostIsNeverPresumedDeparted) {
+  TracingConfig c = digest_config();
+  c.disconnect_misses = 9;
+  HostFixture f(/*brokers=*/1, /*members=*/3, c);
+  std::vector<Observed> seen;
+  auto tracker = observe_host(f, &seen);
+
+  // The host keeps answering, so its session stays up; the member stays
+  // FAILED and keeps being probed.
+  f.host->set_responsive("member-1", false);
+  f.h.net.run_for(5 * kSecond);
+  EXPECT_EQ(seen, (std::vector<Observed>{
+                      {TraceType::kFailureSuspicion, "member-1",
+                       "3 consecutive pings unanswered"},
+                      {TraceType::kFailed, "member-1",
+                       "no ping response after 6 attempts"}}));
+  EXPECT_TRUE(f.h.services[0]->has_session_for("member-1"));
+  EXPECT_EQ(f.h.services[0]->stats().disconnects, 0u);
+}
+
+TEST(EntityHostTest, SilentHostIsPresumedDepartedPerMember) {
+  TracingConfig c = digest_config();
+  c.disconnect_misses = 9;
+  HostFixture f(/*brokers=*/1, /*members=*/3, c);
+  std::vector<Observed> seen;
+  auto tracker = observe_host(f, &seen);
+
+  f.host->set_responsive(false);  // the whole host hangs
+  f.h.net.run_for(5 * kSecond);
+  const std::string departed =
+      "presumed departed: 9 consecutive pings unanswered";
+  EXPECT_EQ(seen, (std::vector<Observed>{
+                      {TraceType::kFailureSuspicion, "member-0",
+                       "3 consecutive pings unanswered"},
+                      {TraceType::kFailureSuspicion, "member-1",
+                       "3 consecutive pings unanswered"},
+                      {TraceType::kFailureSuspicion, "member-2",
+                       "3 consecutive pings unanswered"},
+                      {TraceType::kFailed, "member-0",
+                       "no ping response after 6 attempts"},
+                      {TraceType::kFailed, "member-1",
+                       "no ping response after 6 attempts"},
+                      {TraceType::kFailed, "member-2",
+                       "no ping response after 6 attempts"},
+                      {TraceType::kDisconnect, "member-0", departed},
+                      {TraceType::kDisconnect, "member-1", departed},
+                      {TraceType::kDisconnect, "member-2", departed}}));
+  EXPECT_FALSE(f.h.services[0]->has_session_for("host-0"));
+  EXPECT_EQ(f.h.services[0]->stats().disconnects, 1u);
+}
+
+TEST(EntityHostTest, HostLinkLossIsOneDisconnectPerMember) {
+  HostFixture f(/*brokers=*/1, /*members=*/3);
+  std::vector<Observed> seen;
+  auto tracker = observe_host(f, &seen);
+
+  f.host->disconnect();
+  f.h.net.run_for(2 * kSecond);
+  EXPECT_EQ(seen, (std::vector<Observed>{
+                      {TraceType::kDisconnect, "member-0", "client link lost"},
+                      {TraceType::kDisconnect, "member-1", "client link lost"},
+                      {TraceType::kDisconnect, "member-2",
+                       "client link lost"}}));
+}
+
+TEST(EntityHostTest, FailoverAnnouncesNoStateTransitions) {
+  TracingConfig c = TracingHarness::failover_config(digest_config());
+  c.recovery_announce_delay = 700 * kMillisecond;
+  HostFixture f(/*brokers=*/2, /*members=*/3, c);
+  f.h.register_brokers();
+  auto tracker = f.h.make_tracker("observer", 1);
+  std::vector<TraceType> states;
+  std::map<std::string, int> heartbeats;
+  bool done = false;
+  tracker->track_host(
+      "host-0", kCatStateTransitions | kCatAllUpdates,
+      [&](const TracePayload& p, const pubsub::Message&) {
+        if (p.type == TraceType::kAllsWell) {
+          ++heartbeats[p.entity_id];
+        } else {
+          states.push_back(p.type);
+        }
+      },
+      [&](const Status&) { done = true; });
+  for (int i = 0; i < 100 && !done; ++i) f.h.net.run_for(50 * kMillisecond);
+  ASSERT_TRUE(done);
+
+  f.h.net.faults().crash(f.h.brokers[0]->node());
+  for (int i = 0; i < 200 && f.host->stats().failovers == 0; ++i) {
+    f.h.net.run_for(100 * kMillisecond);
+  }
+  ASSERT_EQ(f.host->stats().failovers, 1u);
+  heartbeats.clear();
+  f.h.net.run_for(2 * kSecond);
+  // The new session reports every member alive, and nothing else.
+  EXPECT_TRUE(states.empty());
+  for (const std::string& id : member_ids(3)) {
+    EXPECT_GE(heartbeats[id], 3) << id;
+  }
 }
 
 }  // namespace

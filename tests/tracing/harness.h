@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,29 @@
 namespace et::tracing::testing {
 
 inline constexpr std::size_t kTestKeyBits = 512;
+
+/// One tracker observation, reduced to what the hosting broker's failure
+/// ladder decides: which trace, about whom, and why.
+struct Observed {
+  TraceType type = TraceType::kAllsWell;
+  std::string entity_id;
+  std::string detail;
+
+  friend bool operator==(const Observed&, const Observed&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const Observed& o) {
+    return os << trace_type_name(o.type) << '(' << o.entity_id << ", \""
+              << o.detail << "\")";
+  }
+};
+
+/// Tracker handler appending every observation to `out` except plain
+/// heartbeats (ALLS_WELL without detail), whose count depends on timing.
+inline Tracker::TraceHandler record_observations(std::vector<Observed>* out) {
+  return [out](const TracePayload& p, const pubsub::Message&) {
+    if (p.type == TraceType::kAllsWell && p.detail.empty()) return;
+    out->push_back({p.type, p.entity_id, p.detail});
+  };
+}
 
 /// A ready-to-use deployment.
 class TracingHarness {
@@ -73,6 +97,20 @@ class TracingHarness {
     c.metrics_interval = 250 * kMillisecond;
     c.delegate_key_bits = kTestKeyBits;
     return c;
+  }
+
+  /// `base` with broker-silence failover on: 600 ms of silence starts it,
+  /// and the retry policy never gives up (an availability reporter keeps
+  /// trying to report).
+  static TracingConfig failover_config(TracingConfig base) {
+    base.broker_silence_timeout = 600 * kMillisecond;
+    RetryPolicy r;
+    r.max_attempts = 0;
+    r.initial_backoff = 50 * kMillisecond;
+    r.max_backoff = 400 * kMillisecond;
+    r.deadline = 10 * kSecond;
+    base.retry = r;
+    return base;
   }
 
   /// Default low-latency link for tests.

@@ -2,11 +2,14 @@
 // and tracker untrack.
 #include <gtest/gtest.h>
 
+#include "src/transport/fault_injector.h"
 #include "tests/tracing/harness.h"
 
 namespace et::tracing {
 namespace {
 
+using testing::Observed;
+using testing::record_observations;
 using testing::TracingHarness;
 
 TEST(LifecycleTest, TokenRenewalKeepsTracesVerifiable) {
@@ -154,6 +157,144 @@ TEST(LifecycleTest, UntrackOneOfTwoKeepsTheOther) {
   EXPECT_EQ(a_count, a_frozen);
   EXPECT_GT(b_count, b_so_far);
   EXPECT_EQ(tracker->tracked_count(), 1u);
+}
+
+TEST(LifecycleTest, TokenRenewalsAreNotRegistrations) {
+  TracingConfig c = TracingHarness::fast_config();
+  c.token_lifetime = 2 * kSecond;  // renewals at 1.5 s, 3 s and 4.5 s
+  TracingHarness h(1, c);
+  auto entity = h.make_entity("svc-renewing");
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  h.net.run_for(5 * kSecond);
+  EXPECT_TRUE(entity->tracing_active());
+  EXPECT_EQ(entity->stats().registrations, 1u);
+  EXPECT_EQ(h.services[0]->stats().registrations, 1u);
+}
+
+TEST(LifecycleTest, SingleEntitySessionIsARosterOfOne) {
+  TracingHarness h;
+  auto entity = h.make_entity("svc-solo");
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  EXPECT_EQ(h.services[0]->roster_size(), 1u);
+  EXPECT_GT(h.services[0]->roster_bytes(), 0u);
+
+  // The session's flags are its one roster record's.
+  entity->set_responsive(false);
+  h.net.run_for(3 * kSecond);
+  EXPECT_TRUE(h.services[0]->session_view("svc-solo").failed);
+  entity->set_responsive(true);
+  h.net.run_for(1 * kSecond);
+  EXPECT_FALSE(h.services[0]->session_view("svc-solo").suspected);
+  EXPECT_FALSE(h.services[0]->session_view("svc-solo").failed);
+
+  entity->stop_tracing();
+  h.net.run_for(200 * kMillisecond);
+  EXPECT_EQ(h.services[0]->roster_size(), 0u);
+}
+
+// The exact observations of the broker's failure ladder for one entity.
+// EntityHostTest pins the same ladders for a roster.
+
+constexpr std::uint8_t kLadderCategories =
+    kCatChangeNotifications | kCatAllUpdates;
+
+TEST(LifecycleTest, LadderSuspectsFailsThenRecovers) {
+  TracingHarness h;
+  auto entity = h.make_entity("svc-ladder");
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  auto tracker = h.make_tracker("observer");
+  std::vector<Observed> seen;
+  ASSERT_TRUE(h.track(*tracker, "svc-ladder", kLadderCategories,
+                      record_observations(&seen))
+                  .is_ok());
+  h.net.run_for(300 * kMillisecond);
+
+  entity->set_responsive(false);
+  h.net.run_for(3 * kSecond);
+  entity->set_responsive(true);
+  h.net.run_for(1 * kSecond);
+  EXPECT_EQ(seen,
+            (std::vector<Observed>{
+                {TraceType::kFailureSuspicion, "svc-ladder",
+                 "3 consecutive pings unanswered"},
+                {TraceType::kFailed, "svc-ladder",
+                 "no ping response after 6 attempts"},
+                {TraceType::kAllsWell, "svc-ladder",
+                 "entity responsive again"}}));
+}
+
+TEST(LifecycleTest, LadderPresumesASilentEntityDeparted) {
+  TracingConfig c = TracingHarness::fast_config();
+  c.disconnect_misses = 9;
+  TracingHarness h(1, c);
+  auto entity = h.make_entity("svc-gone");
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  auto tracker = h.make_tracker("observer");
+  std::vector<Observed> seen;
+  ASSERT_TRUE(h.track(*tracker, "svc-gone", kLadderCategories,
+                      record_observations(&seen))
+                  .is_ok());
+  h.net.run_for(300 * kMillisecond);
+
+  entity->set_responsive(false);
+  h.net.run_for(5 * kSecond);
+  EXPECT_EQ(seen, (std::vector<Observed>{
+                      {TraceType::kFailureSuspicion, "svc-gone",
+                       "3 consecutive pings unanswered"},
+                      {TraceType::kFailed, "svc-gone",
+                       "no ping response after 6 attempts"},
+                      {TraceType::kDisconnect, "svc-gone",
+                       "presumed departed: 9 consecutive pings unanswered"}}));
+  EXPECT_FALSE(h.services[0]->has_session_for("svc-gone"));
+  EXPECT_EQ(h.services[0]->stats().disconnects, 1u);
+}
+
+TEST(LifecycleTest, LinkLossIsOneDisconnect) {
+  TracingHarness h;
+  auto entity = h.make_entity("svc-cut");
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  auto tracker = h.make_tracker("observer");
+  std::vector<Observed> seen;
+  ASSERT_TRUE(h.track(*tracker, "svc-cut", kLadderCategories,
+                      record_observations(&seen))
+                  .is_ok());
+  h.net.run_for(300 * kMillisecond);
+
+  entity->disconnect();
+  h.net.run_for(2 * kSecond);
+  EXPECT_EQ(seen, (std::vector<Observed>{{TraceType::kDisconnect, "svc-cut",
+                                          "client link lost"}}));
+}
+
+TEST(LifecycleTest, FailoverAnnouncesRecoveringThenReady) {
+  TracingConfig c =
+      TracingHarness::failover_config(TracingHarness::fast_config());
+  c.recovery_announce_delay = 700 * kMillisecond;
+  TracingHarness h(2, c);
+  h.register_brokers();
+  auto entity = h.make_entity("svc-mover", 0);
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  auto tracker = h.make_tracker("observer", 1);
+  std::vector<TraceType> states;
+  ASSERT_TRUE(h.track(*tracker, "svc-mover", kCatStateTransitions,
+                      [&](const TracePayload& p, const pubsub::Message&) {
+                        states.push_back(p.type);
+                      })
+                  .is_ok());
+  h.net.run_for(300 * kMillisecond);
+  const Uuid before = entity->session_id();
+
+  h.net.faults().crash(h.brokers[0]->node());
+  for (int i = 0; i < 200 && entity->stats().failovers == 0; ++i) {
+    h.net.run_for(100 * kMillisecond);
+  }
+  ASSERT_EQ(entity->stats().failovers, 1u);
+  EXPECT_NE(entity->session_id(), before);
+  // Past the RECOVERING dwell and a gauge round at the new broker.
+  h.net.run_for(2 * kSecond);
+  EXPECT_EQ(states, (std::vector<TraceType>{TraceType::kRecovering,
+                                            TraceType::kReady}));
+  EXPECT_EQ(entity->state(), EntityState::kReady);
 }
 
 }  // namespace
