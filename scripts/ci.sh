@@ -13,12 +13,14 @@
 #   asan    — ET_SANITIZE=address build of the codec-edge and robustness
 #             suites (over-read probes on the framing/view decoders), the
 #             crypto suites (the Montgomery64 kernel indexes stack arrays
-#             by a runtime limb count) and the tracing client suites (the
+#             by a runtime limb count; the unrolled SHA-1 indexes a 16-word
+#             schedule ring) and the tracing client suites (the
 #             entity-session core's `this`-capturing timer, discovery and
 #             subscription callbacks)
 #   tsan    — ET_SANITIZE=thread build running the concurrency-sensitive
-#             suites, including the socket backend and the RealTimeNetwork
-#             chaos scenario and overlay-repair smokes
+#             suites, including the socket backend, the RealTimeNetwork
+#             chaos scenario and overlay-repair smokes, and local-service
+#             churn racing the broker's match workers
 #   scale   — the E16 100k-entity smoke (bench_entity_scale --smoke):
 #             asserts the §14 resource floors (interest edges and armed
 #             timers each >= 100x fewer than entities, RSS under 512 MB)
@@ -83,12 +85,15 @@ run_asan() {
   # suites add the WAL/snapshot/ledger decoders fed truncated, bit-flipped
   # and garbage inputs (DESIGN.md §16). The crypto suites run the
   # Montgomery64 kernel, whose fixed-capacity stack arrays are indexed by
-  # the modulus's runtime limb count, and the AES T-table rounds, against
-  # the classical reference, the golden outputs and corrupted signatures.
+  # the modulus's runtime limb count, the AES T-table rounds and the
+  # unrolled SHA-1 rounds over a 16-word schedule ring (padded in place),
+  # against the classical reference, the golden outputs, every message
+  # prefix up to 1 KiB and corrupted signatures.
   # The tracing client suites drive both EntitySession front ends through
   # registration, renewal, pings, teardown and broker-silence failover,
   # whose callbacks capture `this` across timers and discovery round-trips.
   local filter='FrameAssembler|FrameCodec|Robustness|Persist|BigInt|Rsa|Aes'
+  filter="$filter|Sha1"
   filter="$filter|Corruption|EntityHostTest|EndToEndTest|LifecycleTest"
   filter="$filter|SecurityTest|ChaosSoakTest"
   ctest --test-dir build-asan --output-on-failure --timeout 300 -R "$filter"
@@ -99,8 +104,11 @@ run_tsan() {
     -DET_BUILD_EXAMPLES=OFF
   # Threaded/wall-clock suites where TSan has something to bite on: the
   # socket backend's event loop, the conformance matrix across all three
-  # backends, and the RealTimeNetwork chaos schedule and overlay-repair
-  # smokes (the latter matches via "RealTime").
+  # backends, the RealTimeNetwork chaos schedule and overlay-repair smokes
+  # (the latter matches via "RealTime"), and the SubscriptionStressTest
+  # "Threaded" cells, where match workers read the subscription tables and
+  # the local-service index while the node context adds and removes
+  # services.
   # Persist rides along: fsync/close ordering under TSan's happens-before
   # checking costs little and keeps the durability layer in the matrix.
   local filter='Realtime|RealTime|ChaosRealTimeSmoke|Threaded|Persist'

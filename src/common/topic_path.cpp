@@ -50,6 +50,13 @@ bool topic_has_prefix(std::string_view topic, std::string_view prefix) {
   return true;
 }
 
+bool has_wildcard_segment(const TopicPath& pattern) {
+  for (const auto& seg : pattern.segments()) {
+    if (is_wildcard_segment(seg)) return true;
+  }
+  return false;
+}
+
 bool topic_matches(const TopicPath& pattern, const TopicPath& topic) {
   const auto& p = pattern.segments();
   const auto& t = topic.segments();

@@ -86,6 +86,12 @@ bool topic_has_prefix(std::string_view topic, std::string_view prefix);
 ///   `#`  (only as the last segment) matches zero or more segments.
 /// Exact segments match case-sensitively.
 bool topic_matches(const TopicPath& pattern, const TopicPath& topic);
+
+/// True when any segment of `pattern` is a wildcard. A wildcard-free
+/// pattern matches exactly the one topic whose canonical form equals it,
+/// which is what lets match indexes look such patterns up instead of
+/// scanning them.
+[[nodiscard]] bool has_wildcard_segment(const TopicPath& pattern);
 bool topic_matches(std::string_view pattern, std::string_view topic);
 
 /// True when every segment is non-empty printable ASCII without whitespace.

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 namespace et::crypto {
 
@@ -39,14 +40,20 @@ void Sha1::update(BytesView data) {
 
 Bytes Sha1::finalize() {
   const std::uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80 then zeros to 56 mod 64, then 64-bit big-endian length.
-  Bytes pad;
-  pad.push_back(0x80);
-  while ((total_len_ + pad.size()) % kBlockSize != 56) pad.push_back(0x00);
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    pad.push_back(static_cast<std::uint8_t>(bit_len >> shift));
+  // Padding, in place: 0x80, zeros to 56 mod 64, then the 64-bit
+  // big-endian length (one extra block when the 0x80 lands past byte 55).
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  update(pad);
+  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[kBlockSize - 1 - i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+  }
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
   Bytes out(kDigestSize);
   for (std::size_t i = 0; i < 5; ++i) {
@@ -64,46 +71,64 @@ Bytes Sha1::digest(BytesView data) {
   return h.finalize();
 }
 
+namespace {
+
+/// Round `t` of the compression function, fully resolved at compile time:
+/// the round function and constant by stage, the schedule word from a
+/// 16-word ring (W[t] overwrites W[t-16] in place), and the working
+/// variables by slot. Instead of shifting a..e down after each round,
+/// the roles rotate through v[]: `a` lives in slot (5 - t % 5) % 5, and
+/// the value a round computes lands in the slot the next round reads as
+/// `a`. Unrolled over t, the slots stay in registers and no round
+/// branches or moves.
+template <int t>
+[[gnu::always_inline]] inline void sha1_round(std::uint32_t (&v)[5],
+                                              std::uint32_t (&w)[16]) {
+  constexpr int r = t % 5;
+  const std::uint32_t a = v[(5 - r) % 5];
+  std::uint32_t& b = v[(6 - r) % 5];
+  const std::uint32_t c = v[(7 - r) % 5];
+  const std::uint32_t d = v[(8 - r) % 5];
+  std::uint32_t& e = v[(9 - r) % 5];
+  if constexpr (t >= 16) {
+    w[t & 15] = std::rotl(w[(t + 13) & 15] ^ w[(t + 8) & 15] ^
+                              w[(t + 2) & 15] ^ w[t & 15],
+                          1);
+  }
+  std::uint32_t f, k;
+  if constexpr (t < 20) {
+    f = d ^ (b & (c ^ d));  // Ch(b, c, d)
+    k = 0x5A827999u;
+  } else if constexpr (t < 40) {
+    f = b ^ c ^ d;
+    k = 0x6ED9EBA1u;
+  } else if constexpr (t < 60) {
+    f = (b & c) | (d & (b | c));  // Maj(b, c, d)
+    k = 0x8F1BBCDCu;
+  } else {
+    f = b ^ c ^ d;
+    k = 0xCA62C1D6u;
+  }
+  e += std::rotl(a, 5) + f + k + w[t & 15];
+  b = std::rotl(b, 30);
+}
+
+}  // namespace
+
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  std::uint32_t w[16];
   for (int t = 0; t < 16; ++t) {
     w[t] = (static_cast<std::uint32_t>(block[t * 4]) << 24) |
            (static_cast<std::uint32_t>(block[t * 4 + 1]) << 16) |
            (static_cast<std::uint32_t>(block[t * 4 + 2]) << 8) |
            static_cast<std::uint32_t>(block[t * 4 + 3]);
   }
-  for (int t = 16; t < 80; ++t) {
-    w[t] = std::rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
-  }
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int t = 0; t < 80; ++t) {
-    std::uint32_t f, k;
-    if (t < 20) {
-      f = (b & c) | ((~b) & d);
-      k = 0x5A827999u;
-    } else if (t < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (t < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t temp = std::rotl(a, 5) + f + e + k + w[t];
-    e = d;
-    d = c;
-    c = std::rotl(b, 30);
-    b = a;
-    a = temp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  std::uint32_t v[5] = {h_[0], h_[1], h_[2], h_[3], h_[4]};
+  [&]<int... t>(std::integer_sequence<int, t...>) {
+    (sha1_round<t>(v, w), ...);
+  }(std::make_integer_sequence<int, 80>{});
+  // 80 rounds rotate the roles 16 full turns: a..e are back in slots 0..4.
+  for (int i = 0; i < 5; ++i) h_[i] += v[i];
 }
 
 }  // namespace et::crypto

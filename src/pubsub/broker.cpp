@@ -1,5 +1,6 @@
 #include "src/pubsub/broker.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -37,6 +38,14 @@ bool topic_is_canonical(const TopicPath& path, std::string_view topic) {
   return true;
 }
 
+// Keys the local-service index's exact buckets: equal topics hash
+// equally whatever their spelling, and nothing is joined per message.
+std::size_t topic_hash(const TopicPath& path) {
+  std::uint64_t h = 0;
+  for (const auto& seg : path.segments()) h = h * 31 + segment_hash(seg);
+  return static_cast<std::size_t>(h);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -53,6 +62,7 @@ class Broker::MatchPool {
     NodeId from;
     TopicPath path;
     std::optional<ConstrainedTopic> ct;
+    bool from_neighbour = false;
   };
 
   MatchPool(Broker& broker, int threads) : broker_(broker) {
@@ -96,7 +106,8 @@ class Broker::MatchPool {
         job = std::move(queue_.front());
         queue_.pop_front();
       }
-      MatchPlan plan = broker_.compute_match(job.path, job.ct);
+      MatchPlan plan =
+          broker_.compute_match(job.path, job.ct, job.from_neighbour);
       // The send stage mutates sessions/counters, so it must run in the
       // node context. std::function requires copyable captures; Message
       // and MatchPlan both are.
@@ -130,8 +141,11 @@ Broker::Broker(transport::NetworkBackend& backend, Options options)
     unreachable_listeners_.push_back(
         std::move(options.client_unreachable_handler));
   }
-  local_services_.store(std::make_shared<const ServiceList>(),
-                        std::memory_order_release);
+  auto index = std::make_shared<ServiceIndex>();
+  const auto empty = std::make_shared<const ServiceList>();
+  index->exact.fill(empty);
+  index->wild = empty;
+  local_services_.store(std::move(index), std::memory_order_release);
   node_ = backend_.add_node(
       name_, [this](NodeId from, BytesView payload) {
         on_packet(from, payload);
@@ -159,18 +173,22 @@ void Broker::peer(NodeId other) {
 void Broker::unpeer(NodeId other) {
   if (neighbours_.erase(other) == 0) return;
   summaries_.erase(other);
-  // Drop everything the dead peer had announced. Patterns left with no
-  // remaining local or remote interest are retracted from the surviving
-  // neighbours — same cascade as handle_unsubscribe, with no split
-  // horizon since the originator is gone.
-  for (const std::string& pattern : remote_subs_.remove_endpoint(other)) {
+  // Drop everything the dead peer had announced, with no split horizon
+  // since the originator is gone.
+  retract_unwanted(remote_subs_.remove_endpoint(other));
+  for (const auto& listener : peer_listeners_) listener(other, false);
+}
+
+void Broker::retract_unwanted(const std::vector<std::string>& emptied) {
+  // Same cascade as handle_unsubscribe: a pattern still covered by other
+  // local or remote interest keeps its upstream edge.
+  for (const std::string& pattern : emptied) {
     const TopicPath compiled(pattern);
     if (!local_subs_.any_match(compiled) &&
         !remote_subs_.any_match(compiled)) {
       propagate_unsubscribe(compiled, pattern, transport::kInvalidNode);
     }
   }
-  for (const auto& listener : peer_listeners_) listener(other, false);
 }
 
 void Broker::add_peer_listener(PeerListener listener) {
@@ -181,26 +199,76 @@ void Broker::set_link_handler(LinkFrameHandler handler) {
   link_handler_ = std::move(handler);
 }
 
-void Broker::subscribe_local(const std::string& pattern, LocalHandler handler,
-                             bool local_only) {
-  TopicPath compiled(pattern);
-  const std::string norm = compiled.canonical();
-  // Republish the service list RCU-style: node-context writers only, but
-  // match stages on worker threads may be reading the old list right now.
-  const auto cur = local_services_.load(std::memory_order_acquire);
-  auto next = std::make_shared<ServiceList>(*cur);
-  next->push_back({norm, compiled, std::move(handler)});
+LocalServiceId Broker::subscribe_local(const std::string& pattern,
+                                       LocalHandler handler, bool local_only) {
+  auto svc = std::make_shared<LocalService>();
+  svc->id = ++last_service_id_;
+  svc->compiled = TopicPath(pattern);
+  svc->pattern = svc->compiled.canonical();
+  svc->handler = std::move(handler);
+  svc->local_only = local_only;
+  const TopicPath& compiled = svc->compiled;
+  const std::string& norm = svc->pattern;
+
+  // Republish the index RCU-style: node-context writers only, but match
+  // stages on worker threads may be reading the old snapshot right now.
+  // Only the touched bucket is copied; the new id is the largest, so
+  // appending keeps the bucket in registration order.
+  auto next = std::make_shared<ServiceIndex>(
+      *local_services_.load(std::memory_order_acquire));
+  std::shared_ptr<const ServiceList>& bucket =
+      has_wildcard_segment(compiled)
+          ? next->wild
+          : next->exact[topic_hash(compiled) % ServiceIndex::kBuckets];
+  auto grown = std::make_shared<ServiceList>(*bucket);
+  grown->push_back(svc);
+  bucket = std::move(grown);
   local_services_.store(std::move(next), std::memory_order_release);
+
   // Register interest network-wide so remote publications reach us. The
   // broker itself is the subscriber; constrained Subscribe-Only/Broker
   // topics permit exactly this. Suppressed subscriptions stay local.
   if (local_subs_.add(compiled, node_) && !local_only) {
     propagate_subscribe(compiled, norm, transport::kInvalidNode);
   }
+  return svc->id;
 }
 
-void Broker::register_interest(const Interest& interest, LocalHandler handler,
-                               bool local_only) {
+void Broker::unsubscribe_local(LocalServiceId id) {
+  auto next = std::make_shared<ServiceIndex>(
+      *local_services_.load(std::memory_order_acquire));
+  // Removal is rare: find the list holding the id (the wildcard list or
+  // one exact bucket) and copy only that list.
+  const auto has_id = [id](const auto& svc) { return svc->id == id; };
+  const auto holds_id = [&has_id](const std::shared_ptr<const ServiceList>& l) {
+    return std::any_of(l->begin(), l->end(), has_id);
+  };
+  std::shared_ptr<const ServiceList>* slot =
+      holds_id(next->wild) ? &next->wild : nullptr;
+  for (auto& bucket : next->exact) {
+    if (slot == nullptr && holds_id(bucket)) slot = &bucket;
+  }
+  if (slot == nullptr) return;  // unknown id
+  auto shrunk = std::make_shared<ServiceList>(**slot);
+  const auto it = std::find_if(shrunk->begin(), shrunk->end(), has_id);
+  const std::shared_ptr<const LocalService> gone = *it;
+  shrunk->erase(it);
+  const bool pattern_still_served =
+      std::any_of(shrunk->begin(), shrunk->end(), [&gone](const auto& svc) {
+        return svc->pattern == gone->pattern;
+      });
+  *slot = std::move(shrunk);
+  local_services_.store(std::move(next), std::memory_order_release);
+
+  if (pattern_still_served) return;
+  if (local_subs_.remove(gone->compiled, node_) && !gone->local_only) {
+    retract_unwanted({gone->pattern});
+  }
+}
+
+LocalServiceId Broker::register_interest(const Interest& interest,
+                                         LocalHandler handler,
+                                         bool local_only) {
   std::vector<std::string> segs = TopicPath(interest.prefix).segments();
   if (interest.depth > 0 && segs.size() > interest.depth) {
     segs.resize(interest.depth);
@@ -208,7 +276,7 @@ void Broker::register_interest(const Interest& interest, LocalHandler handler,
   if (segs.empty() || !is_wildcard_segment(segs.back())) {
     segs.emplace_back(kMultiLevelWildcard);
   }
-  subscribe_local(join_topic(segs), std::move(handler), local_only);
+  return subscribe_local(join_topic(segs), std::move(handler), local_only);
 }
 
 void Broker::resync_interest() {
@@ -448,7 +516,7 @@ void Broker::note_send_status(NodeId to, const Status& s) {
     if (it != clients_.end()) {
       const std::string entity_id = it->second;
       clients_.erase(it);
-      local_subs_.remove_endpoint(to);
+      retract_unwanted(local_subs_.remove_endpoint(to));
       for (const auto& listener : unreachable_listeners_) {
         listener(entity_id);
       }
@@ -635,39 +703,60 @@ void Broker::route(Message m, NodeId arrived_from) {
 
 void Broker::route(Message m, NodeId arrived_from, TopicPath path,
                    std::optional<ConstrainedTopic> ct) {
+  const bool from_neighbour = is_neighbour(arrived_from);
   if (match_pool_) {
     match_pool_->submit({std::move(m), arrived_from, std::move(path),
-                         std::move(ct)});
+                         std::move(ct), from_neighbour});
     return;
   }
-  const MatchPlan plan = compute_match(path, ct);
+  const MatchPlan plan = compute_match(path, ct, from_neighbour);
   execute_send(m, arrived_from, plan);
 }
 
 void Broker::route(const FrameView& f, NodeId arrived_from, TopicPath path,
                    std::optional<ConstrainedTopic> ct) {
+  const bool from_neighbour = is_neighbour(arrived_from);
   if (match_pool_) {
     // Worker-pool jobs outlive this packet handler call — and with it the
     // wire buffer the view borrows from — so materialize now. TopicPath
     // and ConstrainedTopic own their strings and cross safely.
     counters_.materialized.inc();
     match_pool_->submit({f.message->materialize(), arrived_from,
-                         std::move(path), std::move(ct)});
+                         std::move(path), std::move(ct), from_neighbour});
     return;
   }
-  const MatchPlan plan = compute_match(path, ct);
+  const MatchPlan plan = compute_match(path, ct, from_neighbour);
   execute_send(f, arrived_from, plan);
 }
 
 Broker::MatchPlan Broker::compute_match(
-    const TopicPath& path, const std::optional<ConstrainedTopic>& ct) const {
+    const TopicPath& path, const std::optional<ConstrainedTopic>& ct,
+    bool from_neighbour) const {
   MatchPlan plan;
   plan.services = local_services_.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < plan.services->size(); ++i) {
-    if (topic_matches((*plan.services)[i].compiled, path)) {
-      plan.matched_services.push_back(i);
+  // Exact services can only sit in the topic's bucket; wildcard services
+  // are all candidates. Local-only services ignore neighbours' frames.
+  const auto wanted = [from_neighbour](const LocalService& svc) {
+    return !(from_neighbour && svc.local_only);
+  };
+  auto& matched = plan.matched_services;
+  const auto& bucket =
+      *plan.services->exact[topic_hash(path) % ServiceIndex::kBuckets];
+  for (const auto& svc : bucket) {
+    if (svc->compiled == path && wanted(*svc)) matched.push_back(svc.get());
+  }
+  const std::size_t exact_matches = matched.size();
+  for (const auto& svc : *plan.services->wild) {
+    if (wanted(*svc) && topic_matches(svc->compiled, path)) {
+      matched.push_back(svc.get());
     }
   }
+  // Both runs are in registration order; merging by id keeps it overall.
+  std::inplace_merge(matched.begin(), matched.begin() + exact_matches,
+                     matched.end(),
+                     [](const LocalService* a, const LocalService* b) {
+                       return a->id < b->id;
+                     });
   plan.local_targets = local_subs_.match(path);
   // Suppress distribution: a constrainer's Publish-Only publications stay
   // on this broker — don't even look at neighbour interest.
@@ -683,9 +772,7 @@ void Broker::execute_send(const Message& m, NodeId arrived_from,
   // services while running (a trace registration subscribes the session
   // topics); the plan's snapshot pins the list iterated here, so newly
   // appended services never see the current message.
-  for (const std::size_t i : plan.matched_services) {
-    (*plan.services)[i].handler(m);
-  }
+  for (const LocalService* svc : plan.matched_services) svc->handler(m);
 
   // Serialize the publish frame once per fan-out; every destination
   // shares the same buffer.
@@ -718,9 +805,7 @@ void Broker::execute_send(const FrameView& f, NodeId arrived_from,
   if (!plan.matched_services.empty()) {
     counters_.materialized.inc();
     const Message m = f.message->materialize();
-    for (const std::size_t i : plan.matched_services) {
-      (*plan.services)[i].handler(m);
-    }
+    for (const LocalService* svc : plan.matched_services) svc->handler(m);
   }
 
   // Pure forwarding re-sends the original wire bytes: one buffer copy out

@@ -40,12 +40,15 @@
 // Threading: all mutable state is touched only from the broker's node
 // context (its packet handler and timers). Stats counters are relaxed
 // atomics and may be read from any thread. Setup calls (peer,
-// subscribe_local, add_client_unreachable_listener) must complete before
-// traffic starts. Like packet handlers, in-flight match jobs and deferred
-// filter verdicts reference the broker: stop the network before
-// destroying it.
+// add_client_unreachable_listener, set_link_handler) must complete before
+// traffic starts; subscribe_local/unsubscribe_local may also run later
+// from the node context, since match workers read an immutable snapshot
+// of the local-service index. Like packet handlers, in-flight match jobs
+// and deferred filter verdicts reference the broker: stop the network
+// before destroying it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -71,6 +74,10 @@ class Broker;
 
 /// Callback for broker-local services (tracing) receiving matched messages.
 using LocalHandler = std::function<void(const Message&)>;
+
+/// Names one subscribe_local registration (for unsubscribe_local). Ids
+/// increase in registration order; 0 is never issued.
+using LocalServiceId = std::uint64_t;
 
 /// Verdict of an inbound-message filter.
 ///
@@ -237,7 +244,7 @@ class Broker {
 
   /// Handler for broker-to-broker link-maintenance frames (kKeepalive,
   /// kPeerExchange) — they never enter routing. Unhandled frames are
-  /// ignored. A setup call like subscribe_local: install before traffic.
+  /// ignored. A setup call: install before traffic.
   using LinkFrameHandler =
       std::function<void(transport::NodeId from, const FrameView& f)>;
   void set_link_handler(LinkFrameHandler handler);
@@ -250,19 +257,33 @@ class Broker {
   /// Broker-local service subscription. By default the broker's interest
   /// propagates network-wide so remote publications arrive. With
   /// `local_only` the subscription is suppressed (paper §3.1 Suppress
-  /// distribution): only messages reaching THIS broker match — used for
-  /// the trace-registration and session topics, which must be served by
-  /// the broker the entity is connected to (§3.2), not by every broker.
-  void subscribe_local(const std::string& pattern, LocalHandler handler,
-                       bool local_only = false);
+  /// distribution) and the service only sees messages that entered
+  /// routing at THIS broker — from its clients or the broker itself, never
+  /// frames forwarded by a neighbour (a neighbour's wider interest edge
+  /// can still pull such frames here). Used for the trace-registration
+  /// and session topics, which must be served by the broker the entity is
+  /// connected to (§3.2), not by every broker. Services matching one
+  /// message fire in registration order.
+  LocalServiceId subscribe_local(const std::string& pattern,
+                                 LocalHandler handler,
+                                 bool local_only = false);
+
+  /// Removes one subscribe_local registration; unknown ids are ignored.
+  /// Other services on the same pattern keep it alive. When the last one
+  /// goes, the broker drops its own interest in the pattern and retracts
+  /// it from the neighbours unless a client or neighbour here still wants
+  /// it. A message already being dispatched may still reach the removed
+  /// handler once.
+  void unsubscribe_local(LocalServiceId id);
 
   /// Declares summarized broker-level interest (see Interest): compiles
   /// the prefix to one wildcard pattern and subscribes `handler` to it via
   /// subscribe_local, producing a single upstream edge however many
   /// concrete topics live below. The batch-first replacement for
   /// subscribing N concrete topics one at a time.
-  void register_interest(const Interest& interest, LocalHandler handler,
-                         bool local_only = false);
+  LocalServiceId register_interest(const Interest& interest,
+                                   LocalHandler handler,
+                                   bool local_only = false);
 
   /// Anti-entropy resync of propagated interest. Re-announces every
   /// summarized edge to every current neighbour, back-filling neighbours
@@ -279,8 +300,8 @@ class Broker {
   void publish_from_broker(Message m);
 
   /// Appends a dead-client listener (fires after any handler given in
-  /// Options, in registration order). A setup call like subscribe_local:
-  /// must complete before traffic starts.
+  /// Options, in registration order). A setup call: must complete before
+  /// traffic starts.
   void add_client_unreachable_listener(ClientUnreachableHandler handler);
 
   // --- deferred-verdict hooks (node context only) -------------------------
@@ -353,17 +374,32 @@ class Broker {
 
  private:
   struct LocalService {
-    std::string pattern;
-    TopicPath compiled;  // pattern split once at registration
+    LocalServiceId id = 0;
+    std::string pattern;  // canonical form
+    TopicPath compiled;   // pattern split once at registration
     LocalHandler handler;
+    bool local_only = false;
   };
-  using ServiceList = std::vector<LocalService>;
+  /// Services sorted by id (= registration order).
+  using ServiceList = std::vector<std::shared_ptr<const LocalService>>;
+
+  /// Immutable index of the local services (DESIGN.md §9). A wildcard-free
+  /// pattern matches exactly one topic, so exact services are bucketed by
+  /// a hash of their canonical topic and a match looks in one bucket; only
+  /// wildcard services are scanned. Buckets are shared between snapshots,
+  /// so a write copies the bucket array and the one bucket it touches.
+  struct ServiceIndex {
+    static constexpr std::size_t kBuckets = 64;
+    std::array<std::shared_ptr<const ServiceList>, kBuckets> exact;
+    std::shared_ptr<const ServiceList> wild;
+  };
 
   /// Result of the match stage: everything the send stage needs, resolved
   /// entirely from immutable snapshots (safe to compute on any thread).
   struct MatchPlan {
-    std::shared_ptr<const ServiceList> services;  // pins handler lifetimes
-    std::vector<std::size_t> matched_services;    // indices into *services
+    std::shared_ptr<const ServiceIndex> services;  // pins handler lifetimes
+    /// Matched services in registration order, owned by *services.
+    std::vector<const LocalService*> matched_services;
     std::set<transport::NodeId> local_targets;
     std::set<transport::NodeId> remote_targets;
   };
@@ -389,8 +425,11 @@ class Broker {
   void route(const FrameView& f, transport::NodeId arrived_from,
              TopicPath path, std::optional<ConstrainedTopic> ct);
   /// Match stage; const and snapshot-only — thread-safe by construction.
+  /// `from_neighbour` (decided in the node context) hides local-only
+  /// services from frames a neighbour broker forwarded.
   [[nodiscard]] MatchPlan compute_match(
-      const TopicPath& path, const std::optional<ConstrainedTopic>& ct) const;
+      const TopicPath& path, const std::optional<ConstrainedTopic>& ct,
+      bool from_neighbour) const;
   /// Send stage (owning path); node context only. Serializes the publish
   /// frame once and shares the buffer across every destination.
   void execute_send(const Message& m, transport::NodeId arrived_from,
@@ -410,6 +449,10 @@ class Broker {
   void propagate_unsubscribe(const TopicPath& compiled,
                              const std::string& pattern,
                              transport::NodeId except);
+  /// Retracts `emptied` patterns (table entries that just lost their last
+  /// subscriber) from every neighbour, except those some other local or
+  /// remote interest here still covers.
+  void retract_unwanted(const std::vector<std::string>& emptied);
   /// The (lazily created) summary table for one neighbour link.
   InterestSummaryTable& summary_for(transport::NodeId neighbour);
 
@@ -446,11 +489,13 @@ class Broker {
   std::map<transport::NodeId, std::string> clients_;  // node -> entity id
   SubscriptionTable local_subs_;   // clients attached here
   SubscriptionTable remote_subs_;  // neighbour brokers' interest
-  /// Immutable snapshot of local services; republished on subscribe_local
-  /// (RCU like the subscription tables, and for the same reason: the
-  /// match stage may read it from a worker thread, and handlers may
-  /// register further services while a send stage iterates it).
-  AtomicSharedPtr<const ServiceList> local_services_;
+  /// Immutable snapshot of the local-service index; republished on
+  /// subscribe_local/unsubscribe_local (RCU like the subscription tables,
+  /// and for the same reason: the match stage may read it from a worker
+  /// thread, and handlers may add or remove services while a send stage
+  /// iterates it).
+  AtomicSharedPtr<const ServiceIndex> local_services_;
+  LocalServiceId last_service_id_ = 0;
   MessageFilter filter_;
   std::vector<ClientUnreachableHandler> unreachable_listeners_;
   std::vector<PeerListener> peer_listeners_;

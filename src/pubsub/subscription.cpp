@@ -14,14 +14,6 @@ struct ByPattern {
   }
 };
 
-/// Wildcard-free patterns go on the binary-search path: such a pattern
-/// matches a topic iff their canonical strings are equal.
-bool pattern_has_wildcard(const TopicPath& pattern) {
-  return std::any_of(
-      pattern.segments().begin(), pattern.segments().end(),
-      [](const std::string& s) { return is_wildcard_segment(s); });
-}
-
 const Entry* find_exact(const std::vector<Entry>& sorted,
                         const std::string& canon) {
   auto it = std::lower_bound(sorted.begin(), sorted.end(), canon, ByPattern{});
@@ -126,7 +118,7 @@ bool SubscriptionTable::add(const TopicPath& pattern,
   const std::size_t si = shard_of_pattern(pattern);
   auto shard = std::make_shared<Snapshot::Shard>(*next->shards_[si]);
   std::vector<Entry>& vec =
-      pattern_has_wildcard(pattern) ? shard->wild : shard->exact;
+      has_wildcard_segment(pattern) ? shard->wild : shard->exact;
   std::string canon = pattern.canonical();
   auto it = std::lower_bound(vec.begin(), vec.end(), canon, ByPattern{});
   bool first = false;
@@ -150,7 +142,7 @@ bool SubscriptionTable::remove(const TopicPath& pattern,
 
   const std::size_t si = shard_of_pattern(pattern);
   const std::string canon = pattern.canonical();
-  const bool wild = pattern_has_wildcard(pattern);
+  const bool wild = has_wildcard_segment(pattern);
   const Snapshot::Shard& old_shard = *cur->shards_[si];
   const std::vector<Entry>& old_vec = wild ? old_shard.wild : old_shard.exact;
   auto found =

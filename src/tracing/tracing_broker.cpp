@@ -151,9 +151,35 @@ void TracingBrokerService::mint_session(const std::string& id,
                                         const discovery::TopicAdvertisement& ad,
                                         std::uint64_t request_id,
                                         std::vector<std::string> member_ids) {
+  Session s;
+  s.session_id = Uuid::generate(rng_);
+  s.entity_id = id;
+  s.trace_topic = ad.topic().to_string();
+  s.credential = cred;
+  s.advertisement = ad;
+  s.session_key = crypto::SecretKey::generate(rng_, config_.symmetric_alg);
+  s.ping_interval = config_.ping_interval;
+  const Uuid sid = s.session_id;
+
+  // Broker subscribes to the entity->broker session topic (§3.2). The
+  // entity is connected here, so the subscription stays local.
+  s.session_service = broker_.subscribe_local(
+      tt::entity_to_broker(s.trace_topic, sid.to_string()),
+      [this, sid](const pubsub::Message& msg) {
+        handle_session_message(sid, msg);
+      },
+      /*local_only=*/true);
+  // ... and to the interest-response topic for this trace topic (§3.5).
+  s.interest_service = broker_.subscribe_local(
+      tt::interest_response(s.trace_topic),
+      [this, sid](const pubsub::Message& msg) {
+        handle_interest_response(sid, msg);
+      });
+
   // Replace any existing session claiming this id or one of its members
   // (re-registration; a member migrating between hosts follows its newest
-  // registration).
+  // registration). The new services are already up, so a re-registration
+  // on the same trace topic never retracts its interest edge.
   auto replace = [this](const std::string& entity) {
     const auto it = by_entity_.find(entity);
     if (it == by_entity_.end()) return;
@@ -166,35 +192,10 @@ void TracingBrokerService::mint_session(const std::string& id,
   };
   replace(id);
   for (const std::string& member : member_ids) replace(member);
-
-  Session s;
-  s.session_id = Uuid::generate(rng_);
-  s.entity_id = id;
-  s.trace_topic = ad.topic().to_string();
-  s.credential = cred;
-  s.advertisement = ad;
-  s.session_key = crypto::SecretKey::generate(rng_, config_.symmetric_alg);
-  s.ping_interval = config_.ping_interval;
   s.members.reserve(member_ids.size());
   for (std::string& member : member_ids) {
     s.members.push_back(roster_.emplace(MemberRecord{std::move(member)}));
   }
-  const Uuid sid = s.session_id;
-
-  // Broker subscribes to the entity->broker session topic (§3.2). The
-  // entity is connected here, so the subscription stays local.
-  broker_.subscribe_local(
-      tt::entity_to_broker(s.trace_topic, sid.to_string()),
-      [this, sid](const pubsub::Message& msg) {
-        handle_session_message(sid, msg);
-      },
-      /*local_only=*/true);
-  // ... and to the interest-response topic for this trace topic (§3.5).
-  broker_.subscribe_local(
-      tt::interest_response(s.trace_topic),
-      [this, sid](const pubsub::Message& msg) {
-        handle_interest_response(sid, msg);
-      });
 
   // Hybrid-encrypted response: only the registering entity can read it.
   RegistrationResponse resp;
@@ -552,19 +553,30 @@ void TracingBrokerService::handle_ping_response(Session& s,
   // Fan the liveness bitmap back out: bit i covers roster member i; a
   // clear bit is a per-member miss even though the session answered. An
   // empty bitmap (a single entity's response) answers for every member.
+  // A member that answered and is not down would only yield a plain
+  // ALLS_WELL; while no tracker wants those (§3.5) it costs the counter
+  // publish_trace would have bumped (before delegation, not even that).
+  // Only the ladder calls can publish, and a publish can reentrantly
+  // tear the session down, so only they are followed by the re-check.
+  const bool heartbeats_wanted =
+      !s.token.empty() && (effective_interest(s) & kCatAllUpdates) != 0;
   const Uuid sid = s.session_id;
-  const auto members = s.members;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (!sessions_.contains(sid)) return;
-    if (!roster_.contains(members[i])) continue;
+  for (std::size_t i = 0; i < s.members.size(); ++i) {
+    MemberRecord& rec = roster_[s.members[i]];
     const bool alive = sm.liveness.empty() ||
                        (i / 8 < sm.liveness.size() &&
                         ((sm.liveness[i / 8] >> (i % 8)) & 1u) != 0);
-    if (alive) {
-      member_alive(s, roster_[members[i]]);
-    } else {
-      member_miss(s, roster_[members[i]]);
+    if (alive && !heartbeats_wanted && !rec.suspected && !rec.failed) {
+      rec.consecutive_misses = 0;
+      if (!s.token.empty()) ++stats_.traces_suppressed_no_interest;
+      continue;
     }
+    if (alive) {
+      member_alive(s, rec);
+    } else {
+      member_miss(s, rec);
+    }
+    if (!sessions_.contains(sid)) return;
   }
 }
 
@@ -729,6 +741,8 @@ void TracingBrokerService::erase_session(Session& s) {
   wheel_.cancel(dead.ping_timer);
   wheel_.cancel(dead.gauge_timer);
   wheel_.cancel(dead.metrics_timer);
+  broker_.unsubscribe_local(dead.session_service);
+  broker_.unsubscribe_local(dead.interest_service);
   by_entity_.erase(dead.entity_id);
   for (const auto h : dead.members) {
     if (!roster_.contains(h)) continue;

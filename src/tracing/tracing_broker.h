@@ -170,6 +170,11 @@ class TracingBrokerService {
     TimerWheel::WheelId ping_timer = 0;
     TimerWheel::WheelId gauge_timer = 0;
     TimerWheel::WheelId metrics_timer = 0;
+
+    /// The broker services serving this session (its entity->broker topic
+    /// and its interest-response topic); released on teardown.
+    pubsub::LocalServiceId session_service = 0;
+    pubsub::LocalServiceId interest_service = 0;
   };
 
   void handle_registration(const pubsub::Message& m);
@@ -207,9 +212,10 @@ class TracingBrokerService {
   void publish_registration_error(const std::string& entity_id,
                                   std::uint64_t request_id,
                                   const std::string& error);
-  /// Tears a session down: cancels its timers, frees roster records,
-  /// erases every by_entity_ alias and flushes its pending digest. `s`
-  /// must belong to sessions_; the reference is dead afterwards.
+  /// Tears a session down: cancels its timers, releases its broker
+  /// services, frees roster records, erases every by_entity_ alias and
+  /// flushes its pending digest. `s` must belong to sessions_; the
+  /// reference is dead afterwards.
   void erase_session(Session& s);
   [[nodiscard]] std::uint8_t effective_interest(const Session& s) const;
   [[nodiscard]] TraceEmitter::Signing signing(const Session& s) const;

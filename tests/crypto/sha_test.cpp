@@ -61,6 +61,46 @@ TEST(Sha1Test, BoundarySizes) {
   }
 }
 
+/// Deterministic test bytes (splitmix64 stream, top byte per step).
+Bytes seeded_bytes(std::size_t n, std::uint64_t seed) {
+  Bytes out(n);
+  for (auto& b : out) {
+    seed += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = seed;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    b = static_cast<std::uint8_t>((z ^ (z >> 31)) >> 56);
+  }
+  return out;
+}
+
+TEST(Sha1Test, EveryPrefixOfASeededStreamIsPinned) {
+  // The SHA-1 of every prefix of length 0..1024, folded into one SHA-256:
+  // each padding position, block boundary and length encoding is covered.
+  const Bytes stream = seeded_bytes(1024, 15);
+  Sha256 all;
+  for (std::size_t n = 0; n <= stream.size(); ++n) {
+    all.update(Sha1::digest(BytesView(stream.data(), n)));
+  }
+  EXPECT_EQ(hex_encode(all.finalize()),
+            "c13543f15dc9d95eda53e1e5b5f6de3947a0d5a0b94f707dfee253a4077957cf");
+}
+
+TEST(Sha1Test, ChunkedUpdateAtEverySplitOfThreeBlocks) {
+  const Bytes msg = seeded_bytes(3 * Sha1::kBlockSize, 3);
+  const Bytes want = Sha1::digest(msg);
+  EXPECT_EQ(hex_encode(want), "f35b933d976a4c72616c7e89ff2aa3967afcc840");
+  for (std::size_t i = 0; i <= msg.size(); ++i) {
+    for (std::size_t j = i; j <= msg.size(); ++j) {
+      Sha1 h;
+      h.update(BytesView(msg.data(), i));
+      h.update(BytesView(msg.data() + i, j - i));
+      h.update(BytesView(msg.data() + j, msg.size() - j));
+      ASSERT_EQ(h.finalize(), want) << "split at " << i << ", " << j;
+    }
+  }
+}
+
 TEST(Sha256Test, EmptyInput) {
   EXPECT_EQ(
       hex_encode(Sha256::digest({})),

@@ -296,6 +296,67 @@ TEST_F(BrokerFixture, BrokerLocalServiceReceivesMatchingMessages) {
   EXPECT_EQ(service_got, (std::vector<std::string>{"one"}));
 }
 
+TEST_F(BrokerFixture, LocalServicesFireInRegistrationOrder) {
+  Broker& b = topo.add_broker({.name = "b0"});
+  std::vector<std::string> fired;
+  const auto record = [&fired](const std::string& name) {
+    return [&fired, name](const Message&) { fired.push_back(name); };
+  };
+  // Exact and wildcard services on overlapping patterns, interleaved.
+  b.subscribe_local("svc/#", record("wild-1"));
+  b.subscribe_local("svc/a/b", record("exact-1"));
+  b.subscribe_local("*/a/#", record("wild-2"));
+  b.subscribe_local("svc/a/b", record("exact-2"));
+  b.subscribe_local("svc/a/c", record("other"));
+  b.subscribe_local("#", record("wild-3"));
+  b.subscribe_local("svc/a/b", record("exact-3"), /*local_only=*/true);
+  Client c(net, "c");
+  c.connect(b.node(), fast());
+  net.run_until_idle();
+
+  c.publish("svc/a/b", to_bytes("x"));
+  net.run_until_idle();
+  EXPECT_EQ(fired, (std::vector<std::string>{"wild-1", "exact-1", "wild-2",
+                                             "exact-2", "wild-3", "exact-3"}));
+  fired.clear();
+  c.publish("svc/a/c", to_bytes("y"));
+  net.run_until_idle();
+  EXPECT_EQ(fired, (std::vector<std::string>{"wild-1", "wild-2", "other",
+                                             "wild-3"}));
+}
+
+TEST_F(BrokerFixture, UnsubscribeLocalRetractsAPatternWithItsLastService) {
+  auto brokers = topo.make_chain(2, fast());
+  std::vector<std::string> got;
+  const LocalServiceId first = brokers[1]->subscribe_local(
+      "svc/shared", [&](const Message&) { got.push_back("first"); });
+  const LocalServiceId second = brokers[1]->subscribe_local(
+      "svc/shared", [&](const Message&) { got.push_back("second"); });
+  Client c(net, "c");
+  c.connect(brokers[0]->node(), fast());
+  net.run_until_idle();
+  ASSERT_EQ(brokers[0]->interest_edges(), 1u);  // the announced pattern
+
+  // Another registration still serves the pattern: it stays announced.
+  brokers[1]->unsubscribe_local(first);
+  net.run_until_idle();
+  EXPECT_EQ(brokers[0]->interest_edges(), 1u);
+  c.publish("svc/shared", to_bytes("x"));
+  net.run_until_idle();
+  EXPECT_EQ(got, (std::vector<std::string>{"second"}));
+
+  // The last one goes (a repeated id is ignored): retracted upstream.
+  brokers[1]->unsubscribe_local(second);
+  brokers[1]->unsubscribe_local(second);
+  net.run_until_idle();
+  EXPECT_EQ(brokers[1]->interest_edges(), 0u);
+  EXPECT_EQ(brokers[0]->interest_edges(), 0u);
+  c.publish("svc/shared", to_bytes("y"));
+  net.run_until_idle();
+  EXPECT_EQ(got, (std::vector<std::string>{"second"}));
+  EXPECT_EQ(brokers[0]->stats().forwarded, 1u);
+}
+
 TEST_F(BrokerFixture, LocalServiceInterestPropagatesAcrossBrokers) {
   auto brokers = topo.make_chain(2, fast());
   std::vector<std::string> got;

@@ -146,5 +146,105 @@ TEST(SubscriptionStressTest, ThreadedMatchStageDeliversEverything) {
   net.stop();
 }
 
+TEST(SubscriptionStressTest, ThreadedServiceChurnDuringMatching) {
+  // Local services come and go in the node context (as tracing sessions
+  // do) while two match workers read the service index.
+  transport::RealTimeNetwork net(2121);
+  Topology topo(net);
+  Broker::Options o;
+  o.name = "b0";
+  o.match_threads = 2;
+  Broker& broker = topo.add_broker(std::move(o));
+  ASSERT_EQ(broker.match_threads(), 2);
+
+  std::atomic<std::uint64_t> stable{0};
+  std::atomic<std::uint64_t> churned{0};
+  std::atomic<bool> ready{false};
+  net.post(broker.node(), [&] {
+    broker.subscribe_local("churn/#", [&](const Message&) {
+      stable.fetch_add(1, std::memory_order_relaxed);
+    });
+    ready = true;
+  });
+
+  transport::LinkParams link = transport::LinkParams::ideal_profile();
+  constexpr int kPublishers = 2;
+  constexpr int kPerPublisher = 300;
+  std::vector<std::unique_ptr<Client>> pubs;
+  std::atomic<int> connected{0};
+  for (int p = 0; p < kPublishers; ++p) {
+    pubs.push_back(std::make_unique<Client>(net, "pub" + std::to_string(p)));
+    pubs.back()->connect(broker.node(), link, [&](const Status& s) {
+      if (s.is_ok()) connected.fetch_add(1);
+    });
+  }
+  for (int i = 0; i < 200 && !(ready && connected == kPublishers); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(ready);
+  ASSERT_EQ(connected.load(), kPublishers);
+  const std::size_t edges_before = broker.interest_edges();
+
+  // Each churn round subscribes an exact and a wildcard service that
+  // overlap the publications, then drops the previous round's pair.
+  constexpr int kRounds = 200;
+  std::atomic<int> rounds_done{0};
+  std::vector<LocalServiceId> live;  // node context only
+  std::thread churner([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      net.post(broker.node(), [&, r] {
+        const auto count = [&](const Message&) {
+          churned.fetch_add(1, std::memory_order_relaxed);
+        };
+        std::vector<LocalServiceId> next = {
+            broker.subscribe_local("churn/p0/" + std::to_string(r % 8), count),
+            broker.subscribe_local("churn/*/" + std::to_string(r % 8), count,
+                                   /*local_only=*/r % 2 == 0)};
+        for (const LocalServiceId id : live) broker.unsubscribe_local(id);
+        live = std::move(next);
+        rounds_done.fetch_add(1);
+      });
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int p = 0; p < kPublishers; ++p) {
+    workers.emplace_back([&pubs, p] {
+      for (int i = 0; i < kPerPublisher; ++i) {
+        pubs[p]->publish("churn/p" + std::to_string(p) + "/" +
+                             std::to_string(i % 8),
+                         to_bytes(std::to_string(i)));
+      }
+    });
+  }
+  churner.join();
+  for (auto& t : workers) t.join();
+
+  constexpr std::uint64_t kExpected =
+      static_cast<std::uint64_t>(kPublishers) * kPerPublisher;
+  for (int i = 0; i < 1000 && (stable.load() < kExpected ||
+                               rounds_done.load() < kRounds);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // The service that never left saw every message exactly once.
+  EXPECT_EQ(stable.load(), kExpected);
+  EXPECT_EQ(rounds_done.load(), kRounds);
+
+  // Dropping the last pair returns the broker to its own interest only.
+  std::atomic<bool> cleared{false};
+  net.post(broker.node(), [&] {
+    for (const LocalServiceId id : live) broker.unsubscribe_local(id);
+    live.clear();
+    cleared = true;
+  });
+  for (int i = 0; i < 200 && !cleared; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(cleared);
+  EXPECT_EQ(broker.interest_edges(), edges_before);
+
+  net.stop();
+}
+
 }  // namespace
 }  // namespace et::pubsub

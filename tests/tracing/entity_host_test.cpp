@@ -37,25 +37,31 @@ TracingConfig digest_config() {
   return c;
 }
 
+/// "host-0" with `members` members, registered at the first broker.
+std::unique_ptr<EntityHost> register_host(TracingHarness& h,
+                                          std::size_t members,
+                                          const TracingConfig& config) {
+  auto host = std::make_unique<EntityHost>(
+      h.net, h.make_identity("host-0"), h.anchors, config, h.rng.next_u64());
+  host->attach_tdn(h.tdn->node(), TracingHarness::link());
+  host->connect_broker(h.brokers.front()->node(), TracingHarness::link());
+  h.net.run_for(20 * kMillisecond);
+
+  Status reg = internal_error("callback never ran");
+  bool done = false;
+  host->register_entities({}, member_ids(members), [&](const Status& s) {
+    reg = s;
+    done = true;
+  });
+  for (int i = 0; i < 100 && !done; ++i) h.net.run_for(50 * kMillisecond);
+  EXPECT_TRUE(reg.is_ok()) << reg.to_string();
+  return host;
+}
+
 struct HostFixture {
   explicit HostFixture(std::size_t brokers, std::size_t members,
                        TracingConfig config = digest_config())
-      : h(brokers, config) {
-    host = std::make_unique<EntityHost>(h.net, h.make_identity("host-0"),
-                                        h.anchors, config, h.rng.next_u64());
-    host->attach_tdn(h.tdn->node(), TracingHarness::link());
-    host->connect_broker(h.brokers.front()->node(), TracingHarness::link());
-    h.net.run_for(20 * kMillisecond);
-
-    Status reg = internal_error("callback never ran");
-    bool done = false;
-    host->register_entities({}, member_ids(members), [&](const Status& s) {
-      reg = s;
-      done = true;
-    });
-    for (int i = 0; i < 100 && !done; ++i) h.net.run_for(50 * kMillisecond);
-    EXPECT_TRUE(reg.is_ok()) << reg.to_string();
-  }
+      : h(brokers, config), host(register_host(h, members, config)) {}
 
   TracingHarness h;
   std::unique_ptr<EntityHost> host;
@@ -355,6 +361,121 @@ TEST(EntityHostTest, HostLinkLossIsOneDisconnectPerMember) {
                       {TraceType::kDisconnect, "member-1", "client link lost"},
                       {TraceType::kDisconnect, "member-2",
                        "client link lost"}}));
+}
+
+// Pins the ping-response fan-out: which observations a member's answers
+// produce, and which the broker counts as suppressed, across a member that
+// hangs while nobody tracks the host and recovers once a tracker watches.
+TEST(EntityHostTest, UntrackedHangThenTrackedRecoveryIsPinned) {
+  HostFixture f(/*brokers=*/1, /*members=*/4);
+  f.host->set_responsive("member-2", false);
+  f.h.net.run_for(1500 * kMillisecond);  // suspected, then failed, unseen
+  std::vector<Observed> seen;
+  auto tracker = observe_host(f, &seen);
+  f.host->set_responsive("member-2", true);
+  f.h.net.run_for(1 * kSecond);
+
+  EXPECT_EQ(seen, (std::vector<Observed>{{TraceType::kAllsWell, "member-2",
+                                          "entity responsive again"}}));
+  const TracingBrokerStats& s = f.h.services[0]->stats();
+  EXPECT_EQ(s.registrations, 1u);
+  EXPECT_EQ(s.batch_registrations, 1u);
+  EXPECT_EQ(s.rejected_registrations, 0u);
+  EXPECT_EQ(s.pings_sent, 29u);
+  EXPECT_EQ(s.ping_responses, 28u);
+  EXPECT_EQ(s.rejected_session_messages, 0u);
+  EXPECT_EQ(s.traces_published, 49u);
+  EXPECT_EQ(s.traces_suppressed_no_interest, 59u);
+  EXPECT_EQ(s.suspicions, 1u);
+  EXPECT_EQ(s.failures, 1u);
+  EXPECT_EQ(s.disconnects, 0u);
+  EXPECT_EQ(s.keys_distributed, 0u);
+  EXPECT_EQ(s.interest_responses, 5u);
+}
+
+// Pins the digests a tracked host's mixed liveness bitmap produces: the
+// answering members, in roster order, one entry per member per round.
+TEST(EntityHostTest, DigestEntriesFollowAMixedLivenessBitmap) {
+  HostFixture f(/*brokers=*/1, /*members=*/6);
+  f.host->set_responsive("member-1", false);
+  f.host->set_responsive("member-4", false);
+  auto tracker = f.h.make_tracker("observer");
+  // One line per digest message: its entries' entity ids, in order.
+  std::vector<std::string> digests;
+  std::uint64_t last_sequence = 0;
+  bool done = false;
+  tracker->track_host(
+      "host-0", kCatAllUpdates,
+      [&](const TracePayload& p, const pubsub::Message& m) {
+        if (!m.topic.ends_with("/Digest")) return;
+        if (digests.empty() || m.sequence != last_sequence) {
+          digests.emplace_back();
+          last_sequence = m.sequence;
+        }
+        ASSERT_EQ(p.type, TraceType::kAllsWell);
+        digests.back() += p.entity_id.substr(p.entity_id.size() - 1);
+      },
+      [&](const Status&) { done = true; });
+  for (int i = 0; i < 100 && !done; ++i) f.h.net.run_for(50 * kMillisecond);
+  ASSERT_TRUE(done);
+  f.h.net.run_for(1 * kSecond);
+
+  std::string joined;
+  for (const std::string& d : digests) joined += d + "|";
+  EXPECT_EQ(joined, "02350235|02350235|02350235|02350235|02350235|");
+}
+
+TEST(EntityHostTest, RegistrationIsServedOnlyByTheHostingBroker) {
+  // With summaries, a session held on broker 2 propagates the edge
+  // Constrained/Traces/Broker/Subscribe-Only/#, which also covers the
+  // registration topics: broker 0 forwards a host's registration toward
+  // broker 2. Only broker 0 may mint the session.
+  const TracingConfig config = digest_config();
+  TracingHarness h(/*broker_count=*/4, config, /*seed=*/1234,
+                   /*interest_summary_depth=*/4);
+  auto anchor = h.make_entity("anchor", /*broker_index=*/2);
+  ASSERT_TRUE(h.start_tracing(*anchor).is_ok());
+  h.net.run_for(200 * kMillisecond);
+  ASSERT_TRUE(h.services[2]->has_session_for("anchor"));
+
+  auto host = register_host(h, /*members=*/3, config);
+  auto tracker = h.make_tracker("observer", /*broker_index=*/3);
+  std::vector<Observed> seen;
+  ASSERT_TRUE(h.track(*tracker, "host-0",
+                      kCatChangeNotifications | kCatAllUpdates,
+                      record_observations(&seen))
+                  .is_ok());
+  h.net.run_for(2 * kSecond);
+
+  EXPECT_TRUE(h.services[0]->has_session_for("host-0"));
+  for (std::size_t b = 1; b < h.brokers.size(); ++b) {
+    EXPECT_FALSE(h.services[b]->has_session_for("host-0")) << "broker " << b;
+    EXPECT_FALSE(h.services[b]->has_session_for("member-0")) << "broker " << b;
+    EXPECT_EQ(h.services[b]->stats().batch_registrations, 0u) << "broker " << b;
+  }
+  EXPECT_TRUE(seen.empty()) << ::testing::PrintToString(seen);
+  EXPECT_EQ(host->stats().registrations, 1u);
+}
+
+TEST(EntityHostTest, LinkLossDisconnectRetractsSessionInterest) {
+  // interest_summary_depth = 0: every pattern propagates verbatim, so a
+  // session's leftover service pattern would show up on the neighbour.
+  const TracingConfig config = digest_config();
+  TracingHarness h(/*broker_count=*/2, config);
+  h.net.run_for(50 * kMillisecond);
+  const std::size_t hosting_before = h.brokers[0]->interest_edges();
+  const std::size_t neighbour_before = h.brokers[1]->interest_edges();
+
+  auto host = register_host(h, /*members=*/3, config);
+  ASSERT_TRUE(h.services[0]->has_session_for("host-0"));
+  EXPECT_GT(h.brokers[0]->interest_edges(), hosting_before);
+  EXPECT_GT(h.brokers[1]->interest_edges(), neighbour_before);
+
+  host->disconnect();
+  h.net.run_for(2 * kSecond);
+  ASSERT_FALSE(h.services[0]->has_session_for("host-0"));
+  EXPECT_EQ(h.brokers[0]->interest_edges(), hosting_before);
+  EXPECT_EQ(h.brokers[1]->interest_edges(), neighbour_before);
 }
 
 TEST(EntityHostTest, FailoverAnnouncesNoStateTransitions) {

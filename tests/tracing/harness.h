@@ -56,7 +56,8 @@ class TracingHarness {
  public:
   explicit TracingHarness(std::size_t broker_count = 1,
                           TracingConfig config = fast_config(),
-                          std::uint64_t seed = 1234)
+                          std::uint64_t seed = 1234,
+                          std::size_t interest_summary_depth = 0)
       : net(seed),
         rng(seed),
         ca("test-ca", rng, kTestKeyBits),
@@ -78,6 +79,7 @@ class TracingHarness {
         broker_count, link(), "broker", [&](const std::string& name) {
           pubsub::Broker::Options o;
           o.name = name;
+          o.interest_summary_depth = interest_summary_depth;
           filters.push_back(install_trace_filter(o, anchors, net, config_));
           token_caches.push_back(filters.back().cache());
           return o;
