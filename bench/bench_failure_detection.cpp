@@ -276,9 +276,10 @@ void print_recovery(const RecoveryConfig& cfg) {
   PaperTable t(cfg.label);
   t.add_row("time to FAILURE_SUSPICION after cut (ms)", r.detect_ms);
   t.add_row("time to completed re-registration (ms)", r.rereg_ms);
-  t.add_row("false suspicions per minute (healthy)", r.false_per_min);
-  t.add_row("fraction of trials suspected", r.suspected);
-  t.add_row("fraction of trials re-registered", r.recovered);
+  t.add_row("false suspicions per minute (healthy)", r.false_per_min,
+            "1/min");
+  t.add_row("fraction of trials suspected", r.suspected, "share");
+  t.add_row("fraction of trials re-registered", r.recovered, "share");
   t.print();
   t.print_json("failure_recovery");
 }
@@ -298,13 +299,13 @@ int main() {
   et::bench::PaperTable t1("Adaptive interval (floor 100 ms)");
   t1.add_row("time to FAILURE_SUSPICION (ms)", adaptive.suspicion_ms);
   t1.add_row("time to FAILED (ms)", adaptive.failed_ms);
-  t1.add_row("pings sent during detection", adaptive.pings);
+  t1.add_row("pings sent during detection", adaptive.pings, "count");
   t1.print();
 
   et::bench::PaperTable t2("Fixed interval (500 ms)");
   t2.add_row("time to FAILURE_SUSPICION (ms)", fixed.suspicion_ms);
   t2.add_row("time to FAILED (ms)", fixed.failed_ms);
-  t2.add_row("pings sent during detection", fixed.pings);
+  t2.add_row("pings sent during detection", fixed.pings, "count");
   t2.print();
 
   std::printf(

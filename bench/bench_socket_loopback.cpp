@@ -6,10 +6,12 @@
 //
 //   - 3-hop publish latency (wall-clock for SocketNetwork/RealTimeNetwork,
 //     modelled virtual time for VirtualTimeNetwork),
-//   - sustained throughput in msgs/sec/broker (wall-clock for all three),
 //   - the copies-per-hop accounting: BrokerStats::materialized across the
 //     chain, which the view-codec redesign keeps at ZERO on pure-forward
 //     hops (every hop re-sends the original wire bytes).
+//
+// Capacity is not measured here: tracebench's trace_flood workload
+// measures it closed-loop at saturation.
 //
 // JSON rows land on stdout for the BENCH_socket_loopback.json trajectory.
 
@@ -34,7 +36,6 @@ namespace {
 
 constexpr std::size_t kBrokers = 3;
 constexpr std::size_t kLatencyRounds = 200;
-constexpr std::size_t kThroughputMsgs = 2000;
 constexpr char kTopic[] = "e15/stream";
 
 transport::LinkParams loopback_link() {
@@ -86,31 +87,6 @@ class Chain {
     return stats;
   }
 
-  /// Wall-clock sustained throughput, normalized per broker.
-  double throughput_msgs_per_sec_per_broker() {
-    const std::uint64_t before = received_.load();
-    SystemClock clock;
-    const TimePoint t0 = clock.now();
-    for (std::size_t i = 0; i < kThroughputMsgs; ++i) {
-      pub_.publish(kTopic, to_bytes("burst-" + std::to_string(i)));
-      if constexpr (is_virtual<Net>) {
-        // Inline drain keeps the virtual event queue bounded.
-        if (i % 64 == 0) net_.run_until_idle();
-      }
-    }
-    if constexpr (is_virtual<Net>) {
-      net_.run_until_idle();
-    } else if (!wait_received(before + kThroughputMsgs, 30 * kSecond)) {
-      std::fprintf(stderr, "throughput: only %llu of %zu delivered\n",
-                   static_cast<unsigned long long>(received_.load() - before),
-                   kThroughputMsgs);
-    }
-    const double secs = to_millis(clock.now() - t0) / 1e3;
-    const auto delivered =
-        static_cast<double>(received_.load() - before);
-    return delivered / secs / static_cast<double>(kBrokers);
-  }
-
   /// Owning Message copies the chain's brokers made, and the wire-bytes
   /// forwards they made instead. Pure-forward traffic must show 0 copies.
   [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> copy_counters() const {
@@ -153,14 +129,9 @@ class Chain {
 
 template <typename Net>
 void run_backend(const std::string& label, PaperTable& latency_table,
-                 PaperTable& throughput_table, PaperTable& copies_table) {
+                 PaperTable& copies_table) {
   Chain<Net> chain;
   latency_table.add_row(label + " 3-hop latency", chain.latency());
-
-  const double rate = chain.throughput_msgs_per_sec_per_broker();
-  RunningStats rate_stats;
-  rate_stats.add(rate);
-  throughput_table.add_row(label + " msgs/sec/broker", rate_stats);
 
   const auto [materialized, view_forwards] = chain.copy_counters();
   RunningStats copies;
@@ -184,21 +155,16 @@ void run_backend(const std::string& label, PaperTable& latency_table,
 int main() {
   using namespace et::bench;
   PaperTable latency("E15: 3-hop publish latency, 3-broker chain (ms)");
-  PaperTable throughput("E15: sustained throughput (msgs/sec/broker)");
-  PaperTable copies("E15: copies-per-hop accounting (counts, not ms)");
+  PaperTable copies("E15: copies-per-hop accounting", "count");
 
-  run_backend<et::transport::VirtualTimeNetwork>("virtual", latency,
-                                                 throughput, copies);
-  run_backend<et::transport::RealTimeNetwork>("realtime", latency, throughput,
-                                              copies);
+  run_backend<et::transport::VirtualTimeNetwork>("virtual", latency, copies);
+  run_backend<et::transport::RealTimeNetwork>("realtime", latency, copies);
   run_backend<et::transport::SocketNetwork>("socket-loopback", latency,
-                                            throughput, copies);
+                                            copies);
 
   latency.print();
-  throughput.print();
   copies.print();
   latency.print_json("socket_loopback_latency");
-  throughput.print_json("socket_loopback_throughput");
   copies.print_json("socket_loopback_copies");
   return 0;
 }

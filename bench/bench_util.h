@@ -4,7 +4,8 @@
 // the paper's cryptographic configuration (RSA-1024 + SHA-1 + PKCS#1,
 // AES-192) and link profiles modelled on its testbed (100 Mbps LAN,
 // 1-2 ms/hop). Prints tables in the paper's format: mean, standard
-// deviation, standard error — all in milliseconds.
+// deviation, standard error — in each table's unit, milliseconds unless
+// the table or a row names another.
 #pragma once
 
 #include <chrono>
@@ -59,47 +60,57 @@ class Latch {
   std::uint64_t count_ = 0;
 };
 
-/// Paper-style results table.
+/// Paper-style results table. Values are in the table's unit ("ms"
+/// unless given); a row whose figure is not in that unit names its own.
 class PaperTable {
  public:
-  explicit PaperTable(std::string title) : title_(std::move(title)) {}
+  explicit PaperTable(std::string title, std::string unit = "ms")
+      : title_(std::move(title)), unit_(std::move(unit)) {}
 
-  void add_row(const std::string& label, const RunningStats& stats) {
-    rows_.push_back({label, stats});
+  void add_row(const std::string& label, const RunningStats& stats,
+               std::string unit = {}) {
+    rows_.push_back({label, unit.empty() ? unit_ : std::move(unit), stats});
   }
 
   void print() const {
     std::printf("\n%s\n", title_.c_str());
-    std::printf("%-34s %10s %12s %12s\n", "Operation", "Mean",
-                "Std Dev", "Std Error");
-    for (const auto& [label, s] : rows_) {
-      std::printf("%-34s %10.2f %12.2f %12.2f\n", label.c_str(), s.mean(),
-                  s.stddev(), s.stderr_of_mean());
+    std::printf("%-34s %10s %12s %12s  %s\n", "Operation", "Mean",
+                "Std Dev", "Std Error", "Unit");
+    for (const Row& r : rows_) {
+      std::printf("%-34s %10.2f %12.2f %12.2f  %s\n", r.label.c_str(),
+                  r.stats.mean(), r.stats.stddev(), r.stats.stderr_of_mean(),
+                  r.unit.c_str());
     }
     std::fflush(stdout);
   }
 
   /// Machine-readable mirror of print(): one JSON object per line, so a
-  /// BENCH_<name>.json trajectory can be scraped from stdout. All values
-  /// are milliseconds.
+  /// BENCH_<name>.json trajectory can be scraped from stdout. Each row
+  /// carries its unit.
   void print_json(const std::string& bench) const {
     std::printf("{\"bench\":\"%s\",\"title\":\"%s\",\"rows\":[",
                 bench.c_str(), title_.c_str());
     for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const auto& [label, s] = rows_[i];
+      const Row& r = rows_[i];
       std::printf(
-          "%s{\"label\":\"%s\",\"mean_ms\":%.6f,\"stddev_ms\":%.6f,"
-          "\"stderr_ms\":%.6f,\"n\":%zu}",
-          i ? "," : "", label.c_str(), s.mean(), s.stddev(),
-          s.stderr_of_mean(), s.count());
+          "%s{\"label\":\"%s\",\"unit\":\"%s\",\"mean\":%.6f,"
+          "\"stddev\":%.6f,\"stderr\":%.6f,\"n\":%zu}",
+          i ? "," : "", r.label.c_str(), r.unit.c_str(), r.stats.mean(),
+          r.stats.stddev(), r.stats.stderr_of_mean(), r.stats.count());
     }
     std::printf("]}\n");
     std::fflush(stdout);
   }
 
  private:
+  struct Row {
+    std::string label;
+    std::string unit;
+    RunningStats stats;
+  };
   std::string title_;
-  std::vector<std::pair<std::string, RunningStats>> rows_;
+  std::string unit_;
+  std::vector<Row> rows_;
 };
 
 /// Paper §6.1 crypto configuration.

@@ -14,9 +14,11 @@
 #             suites (over-read probes on the framing/view decoders), the
 #             crypto suites (the Montgomery64 kernel indexes stack arrays
 #             by a runtime limb count; the unrolled SHA-1 indexes a 16-word
-#             schedule ring) and the tracing client suites (the
+#             schedule ring), the tracing client suites (the
 #             entity-session core's `this`-capturing timer, discovery and
-#             subscription callbacks)
+#             subscription callbacks) and the bitmap-digest suites (the
+#             digest decoder takes roster and bitmap counts from the wire;
+#             trackers and the ledger audit index rosters by bit position)
 #   tsan    — ET_SANITIZE=thread build running the concurrency-sensitive
 #             suites, including the socket backend, the RealTimeNetwork
 #             chaos scenario and overlay-repair smokes, and local-service
@@ -92,10 +94,15 @@ run_asan() {
   # The tracing client suites drive both EntitySession front ends through
   # registration, renewal, pings, teardown and broker-silence failover,
   # whose callbacks capture `this` across timers and discovery round-trips.
+  # The digest suites feed the bitmap-digest decoder roster, bitmap and
+  # padding counts from the wire, expand digests through the tracker's
+  # roster cache by bit position, and run the ledger audit's roster
+  # expansion.
   local filter='FrameAssembler|FrameCodec|Robustness|Persist|BigInt|Rsa|Aes'
   filter="$filter|Sha1"
   filter="$filter|Corruption|EntityHostTest|EndToEndTest|LifecycleTest"
   filter="$filter|SecurityTest|ChaosSoakTest"
+  filter="$filter|TraceDigest|DigestChaos|DurabilityChaos.Audit"
   ctest --test-dir build-asan --output-on-failure --timeout 300 -R "$filter"
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <queue>
 #include <set>
 #include <stdexcept>
@@ -266,41 +267,52 @@ std::vector<std::string> ScenarioDeployment::audit_ledgers(
   // 2. Observed ⊆ ledgered: every trace a tracker saw must exist in some
   // hosting broker's chain (an entity fails over, so its history may
   // spread across several brokers' ledgers), keyed by (type, issued_at).
-  // Digest records vouch for their entries at the digest's stamp.
-  for (const auto& entity : entities_) {
-    const std::string& eid = entity->entity_id();
-    std::set<std::pair<std::uint8_t, TimePoint>> ledgered;
-    for (const auto& ledger : ledgers_) {
-      for (const std::string& topic : ledger->topics()) {
-        for (const persist::LedgerRecord& r : ledger->records(topic)) {
-          if (r.entity_id == eid) {
-            ledgered.insert({r.trace_type, r.issued_at});
-          }
-          if (r.trace_type ==
-              static_cast<std::uint8_t>(tracing::TraceType::kDigest)) {
-            try {
-              const tracing::TraceDigest d =
-                  tracing::TraceDigest::deserialize(r.payload);
-              for (const tracing::DigestEntry& de : d.entries) {
-                if (de.entity_id == eid) {
-                  ledgered.insert(
-                      {static_cast<std::uint8_t>(de.type), d.issued_at});
-                }
-              }
-            } catch (const SerializeError&) {
-              out.push_back("undecodable digest payload in ledger topic " +
-                            topic);
-            }
-          }
+  // A digest record vouches for an ALLS_WELL at its stamp for every member
+  // whose bit it sets, named by the roster that a record earlier in the
+  // same chain carried for the digest's epoch (DESIGN.md §14).
+  constexpr auto kDigest =
+      static_cast<std::uint8_t>(tracing::TraceType::kDigest);
+  constexpr auto kAllsWell =
+      static_cast<std::uint8_t>(tracing::TraceType::kAllsWell);
+  std::map<std::string, std::set<std::pair<std::uint8_t, TimePoint>>> ledgered;
+  for (std::size_t i = 0; i < ledgers_.size(); ++i) {
+    for (const std::string& topic : ledgers_[i]->topics()) {
+      std::map<std::uint64_t, std::vector<std::string>> rosters;  // by epoch
+      for (const persist::LedgerRecord& r : ledgers_[i]->records(topic)) {
+        ledgered[r.entity_id].insert({r.trace_type, r.issued_at});
+        if (r.trace_type != kDigest) continue;
+        tracing::TraceDigest d;
+        try {
+          d = tracing::TraceDigest::deserialize(r.payload);
+        } catch (const SerializeError&) {
+          out.push_back("undecodable digest payload in ledger topic " + topic);
+          continue;
         }
+        if (!d.roster.empty()) rosters[d.epoch] = std::move(d.roster);
+        const auto roster = rosters.find(d.epoch);
+        if (roster == rosters.end() || roster->second.size() != d.members) {
+          out.push_back(brokers_[i]->name() + ": digest #" +
+                        std::to_string(r.sequence) + " in ledger topic " +
+                        topic + " names roster epoch " +
+                        std::to_string(d.epoch) +
+                        " that no earlier record carried");
+          continue;
+        }
+        d.for_each_observation([&](std::size_t member) {
+          ledgered[roster->second[member]].insert({kAllsWell, d.issued_at});
+        });
       }
     }
+  }
+  for (const auto& entity : entities_) {
+    const std::string& eid = entity->entity_id();
+    const auto& vouched = ledgered[eid];
     for (const auto& tracker : trackers_) {
       const auto events =
           oracle.observed_events(tracker->tracker_id(), eid);
       TimePoint last_issued = 0;
       for (const auto& ev : events) {
-        if (!ledgered.contains(
+        if (!vouched.contains(
                 {static_cast<std::uint8_t>(ev.type), ev.issued_at})) {
           out.push_back("phantom trace: " + tracker->tracker_id() + "/" +
                         eid + " observed " +

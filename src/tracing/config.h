@@ -102,12 +102,14 @@ struct TracingConfig {
 
   // --- million-entity scale (DESIGN.md §14) -----------------------------
 
-  /// ALLS_WELL coalescing window: plain heartbeats from co-hosted entities
-  /// accumulate into one signed per-host digest flushed on this period
-  /// (trackers expand the digest back to per-entity traces). 0 (the
-  /// default) publishes every heartbeat per-entity, unchanged.
+  /// ALLS_WELL coalescing window: each ping response's plain heartbeats
+  /// fold into the host's signed digest as one liveness bitmap, and the
+  /// digest flushes on this period (trackers expand it back to per-entity
+  /// traces through the host's roster). 0 (the default) publishes every
+  /// heartbeat per-entity, unchanged.
   Duration digest_interval = 0;
-  /// Flush a pending digest early once it carries this many entries.
+  /// Flush a pending digest early once it carries this many observations
+  /// (set bits).
   std::size_t digest_max_entries = 256;
   /// Coalescing granularity of the broker's session timer wheel: all
   /// session timers (ping/gauge/metrics/digest-flush) due within one tick

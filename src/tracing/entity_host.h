@@ -16,12 +16,12 @@
 //      of the registration order), so one ping/response pair carries the
 //      whole roster's availability.
 //
-// The broker fans the bitmap back out into per-member observations and
-// (when digests are enabled) coalesces the resulting ALLS_WELLs, so
-// trackers keep exact per-entity semantics. A failover re-homes the whole
-// roster with one batch re-registration and announces nothing: hosts carry
-// no per-member state machine, and the broker's next ping round
-// re-establishes every member's liveness from the bitmap.
+// The broker fans the bitmap back out into per-member observations (when
+// digests are enabled, the answering members' bits ride the host's digest
+// as one bitmap), so trackers keep exact per-entity semantics. A failover
+// re-homes the whole roster with one batch re-registration and announces
+// nothing: hosts carry no per-member state machine, and the broker's next
+// ping round re-establishes every member's liveness from the bitmap.
 #pragma once
 
 #include <string>

@@ -43,6 +43,10 @@ BatchRegistrationRequest BatchRegistrationRequest::deserialize(BytesView b) {
   out.advertisement = discovery::TopicAdvertisement::deserialize(r.bytes());
   out.request_id = r.u64();
   const std::uint32_t count = r.u32();
+  // Every id costs at least its 4-byte length prefix.
+  if (count > r.remaining() / 4) {
+    throw SerializeError("batch entity count exceeds the payload");
+  }
   out.entity_ids.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) out.entity_ids.push_back(r.str());
   r.expect_done();
@@ -107,6 +111,7 @@ Bytes InterestResponse::serialize() const {
   w.bytes(credential.serialize());
   w.u8(categories);
   w.str(key_delivery_topic);
+  w.u64(roster_epoch);
   return std::move(w).take();
 }
 
@@ -117,6 +122,7 @@ InterestResponse InterestResponse::deserialize(BytesView b) {
   out.credential = crypto::Credential::deserialize(r.bytes());
   out.categories = r.u8();
   out.key_delivery_topic = r.str();
+  out.roster_epoch = r.u64();
   r.expect_done();
   return out;
 }

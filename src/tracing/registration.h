@@ -93,6 +93,10 @@ struct InterestResponse {
   /// Topic the tracker expects the sealed trace key on (§5.1); empty when
   /// the tracker doesn't need the key.
   std::string key_delivery_topic;
+  /// Roster epoch of the digests the tracker can expand (DESIGN.md §14);
+  /// 0 when it holds none. Any other epoch than the session's makes the
+  /// next digest carry the roster.
+  std::uint64_t roster_epoch = 0;
 
   [[nodiscard]] Bytes serialize() const;
   static InterestResponse deserialize(BytesView b);

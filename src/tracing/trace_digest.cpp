@@ -1,22 +1,19 @@
 #include "src/tracing/trace_digest.h"
 
 #include "src/common/serialize.h"
-#include "src/tracing/trace_message.h"
 
 namespace et::tracing {
 
 Bytes TraceDigest::serialize() const {
   Writer w;
   w.str(host_id);
-  w.u64(round);
   w.i64(issued_at);
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const DigestEntry& e : entries) {
-    w.str(e.entity_id);
-    w.u8(static_cast<std::uint8_t>(e.type));
-    w.boolean(e.state.has_value());
-    if (e.state) w.u8(static_cast<std::uint8_t>(*e.state));
-  }
+  w.u64(epoch);
+  w.u32(members);
+  w.boolean(!roster.empty());
+  for (const std::string& id : roster) w.str(id);
+  w.u32(static_cast<std::uint32_t>(bitmap_count()));
+  w.raw(bitmaps);
   return std::move(w).take();
 }
 
@@ -24,35 +21,39 @@ TraceDigest TraceDigest::deserialize(BytesView b) {
   Reader r(b);
   TraceDigest out;
   out.host_id = r.str();
-  out.round = r.u64();
   out.issued_at = r.i64();
-  const std::uint32_t count = r.u32();
-  out.entries.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    DigestEntry e;
-    e.entity_id = r.str();
-    e.type = static_cast<TraceType>(r.u8());
-    if (e.type < TraceType::kInitializing || e.type > TraceType::kDigest) {
-      throw SerializeError("unknown trace type in digest entry");
+  out.epoch = r.u64();
+  out.members = r.u32();
+  if (out.epoch == 0 || out.members == 0) {
+    throw SerializeError("digest without a roster epoch or members");
+  }
+  if (r.boolean()) {
+    // Every id costs at least its 4-byte length prefix.
+    if (out.members > r.remaining() / 4) {
+      throw SerializeError("digest roster count exceeds the payload");
     }
-    if (r.boolean()) e.state = static_cast<EntityState>(r.u8());
-    out.entries.push_back(std::move(e));
+    out.roster.reserve(out.members);
+    for (std::uint32_t i = 0; i < out.members; ++i) {
+      out.roster.push_back(r.str());
+    }
   }
+  const std::size_t width = out.bitmap_bytes();
+  const std::uint32_t count = r.u32();
+  if (count > r.remaining() / width) {
+    throw SerializeError("digest bitmap count exceeds the payload");
+  }
+  const BytesView bitmaps = r.raw_view(count * width);
   r.expect_done();
-  return out;
-}
-
-std::vector<TracePayload> TraceDigest::expand() const {
-  std::vector<TracePayload> out;
-  out.reserve(entries.size());
-  for (const DigestEntry& e : entries) {
-    TracePayload p;
-    p.type = e.type;
-    p.entity_id = e.entity_id;
-    p.issued_at = issued_at;
-    p.state = e.state;
-    out.push_back(std::move(p));
+  // Bits past the roster would name members that do not exist.
+  const unsigned tail = out.members % 8;
+  if (tail != 0) {
+    for (std::size_t k = width - 1; k < bitmaps.size(); k += width) {
+      if ((bitmaps[k] >> tail) != 0) {
+        throw SerializeError("digest bitmap sets a bit past its roster");
+      }
+    }
   }
+  out.bitmaps.assign(bitmaps.begin(), bitmaps.end());
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "src/tracing/trace_emitter.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/pubsub/constrained_topic.h"
@@ -9,8 +10,12 @@ namespace et::tracing {
 namespace tt = pubsub::trace_topics;
 
 TraceEmitter::TraceEmitter(pubsub::Broker& broker, Rng& rng, Options options,
-                           TimerWheel* wheel)
-    : broker_(broker), rng_(rng), options_(options), wheel_(wheel) {}
+                           TimerWheel* wheel, RosterSource roster)
+    : broker_(broker),
+      rng_(rng),
+      options_(options),
+      wheel_(wheel),
+      roster_(std::move(roster)) {}
 
 TraceEmitter::~TraceEmitter() {
   // Pending digests die with the emitter; publishing from a destructor
@@ -60,51 +65,74 @@ void TraceEmitter::trace(const Signing& signing, const std::string& host_id,
                          TracePayload payload) {
   payload.issued_at = broker_.backend().now();
   payload.secured = signing.secure;
+  // Ordering: the heartbeats folded before this trace must not arrive
+  // after it.
+  flush(host_id);
+  const std::uint8_t category = category_of(payload.type);
+  Bytes body = payload.serialize();
+  const LedgerMeta meta{payload.entity_id,
+                        static_cast<std::uint8_t>(payload.type),
+                        payload.issued_at};
+  publish_signed(
+      tt::trace_publication(signing.trace_topic, category_suffix(category)),
+      std::move(body), signing.secure, *signing.trace_key, *signing.token,
+      *signing.delegate_key, &meta);
+  ++stats_.traces_published;
+}
 
-  // Only plain heartbeats coalesce. An ALLS_WELL carrying detail ends a
-  // suspicion ("entity responsive again") and must travel urgently like
-  // every other lifecycle trace.
-  const bool coalescible = options_.digest_interval > 0 && wheel_ != nullptr &&
-                           payload.type == TraceType::kAllsWell &&
-                           payload.detail.empty();
-  if (!coalescible) {
-    // Ordering: the heartbeats observed before this trace must not arrive
-    // after it.
-    flush(host_id);
-    const std::uint8_t category = category_of(payload.type);
-    Bytes body = payload.serialize();
-    const LedgerMeta meta{payload.entity_id,
-                          static_cast<std::uint8_t>(payload.type),
-                          payload.issued_at};
-    publish_signed(
-        tt::trace_publication(signing.trace_topic, category_suffix(category)),
-        std::move(body), signing.secure, *signing.trace_key, *signing.token,
-        *signing.delegate_key, &meta);
-    ++stats_.traces_published;
-    return;
-  }
+TraceEmitter::Pending& TraceEmitter::pending_for(const Signing& signing,
+                                                 const std::string& host_id,
+                                                 const Heartbeats& beats) {
+  // A digest covers one roster: a session's teardown flushes its pending
+  // digest before any other session can fold under the same host id.
+  const auto it = pending_.find(host_id);
+  if (it != pending_.end()) return it->second;
+  Pending p;
+  p.digest.host_id = host_id;
+  p.digest.epoch = beats.epoch;
+  p.digest.members = beats.members;
+  // Copy the signing material: the session may be torn down before the
+  // flush timer fires.
+  p.trace_topic = signing.trace_topic;
+  p.token = *signing.token;
+  p.delegate_key = *signing.delegate_key;
+  p.trace_key = *signing.trace_key;
+  p.secure = signing.secure;
+  p.flush_timer = wheel_->schedule(options_.digest_interval,
+                                   [this, host_id] { flush(host_id); });
+  return pending_.emplace(host_id, std::move(p)).first->second;
+}
 
-  auto it = pending_.find(host_id);
-  if (it == pending_.end()) {
-    Pending p;
-    p.digest.host_id = host_id;
-    p.digest.round = ++rounds_[host_id];
-    // Copy the signing material: the session may be torn down before the
-    // flush timer fires.
-    p.trace_topic = signing.trace_topic;
-    p.token = *signing.token;
-    p.delegate_key = *signing.delegate_key;
-    p.trace_key = *signing.trace_key;
-    p.secure = signing.secure;
-    p.flush_timer = wheel_->schedule(options_.digest_interval,
-                                     [this, host_id] { flush(host_id); });
-    it = pending_.emplace(host_id, std::move(p)).first;
+void TraceEmitter::fold(const Signing& signing, const std::string& host_id,
+                        const Heartbeats& beats) {
+  const std::size_t cap = std::max<std::size_t>(1, options_.digest_max_entries);
+  const TimePoint now = broker_.backend().now();
+  std::size_t next = 0;  // first bit of `beats` not yet folded
+  std::size_t left = beats.count;
+  while (left > 0) {
+    Pending& p = pending_for(signing, host_id, beats);
+    const std::size_t take = std::min(left, cap - p.entries);
+    Bytes& out = p.digest.bitmaps;
+    const std::size_t at = out.size();
+    if (next == 0 && take == left) {
+      out.insert(out.end(), beats.bits.begin(), beats.bits.end());
+    } else {
+      // The digest fills mid-response: it takes the next `take` set bits
+      // and the following digest the rest.
+      out.resize(at + beats.bits.size(), 0);
+      for (std::size_t copied = 0; copied < take; ++next) {
+        const std::uint8_t bit = static_cast<std::uint8_t>(1u << (next % 8));
+        if ((beats.bits[next / 8] & bit) != 0) {
+          out[at + next / 8] |= bit;
+          ++copied;
+        }
+      }
+    }
+    p.entries += take;
+    p.digest.issued_at = now;
+    left -= take;
+    if (p.entries >= cap) flush(host_id);
   }
-  Pending& p = it->second;
-  p.digest.issued_at = payload.issued_at;
-  p.digest.entries.push_back(
-      DigestEntry{payload.entity_id, payload.type, payload.state});
-  if (p.digest.entries.size() >= options_.digest_max_entries) flush(host_id);
 }
 
 void TraceEmitter::publish_raw(const Signing& signing, std::string topic,
@@ -122,7 +150,8 @@ void TraceEmitter::flush(const std::string& host_id) {
   Pending p = std::move(it->second);
   pending_.erase(it);
   if (wheel_ != nullptr && p.flush_timer != 0) wheel_->cancel(p.flush_timer);
-  stats_.digest_entries += p.digest.entries.size();
+  if (roster_) p.digest.roster = roster_(host_id, p.digest.epoch);
+  stats_.digest_entries += p.entries;
   ++stats_.digests_published;
   const LedgerMeta meta{p.digest.host_id,
                         static_cast<std::uint8_t>(TraceType::kDigest),

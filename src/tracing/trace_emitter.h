@@ -5,24 +5,26 @@
 // token, sign with the delegate key (§4.3), optionally encrypt with the
 // trace key (§5.1), hand to the broker. That ritual used to be duplicated
 // across publish_trace, the gauge probe, and the per-entity heartbeat
-// path; `TraceEmitter` folds it into one place and makes digest-vs-
-// per-entity emission a configuration choice instead of a call-site fork.
+// path; `TraceEmitter` folds it into one place.
 //
-// With `Options::digest_interval == 0` the emitter is a pure passthrough:
-// every trace() publishes one per-entity message immediately — byte-
-// identical to the historical behaviour. With a nonzero interval,
-// coalescible traces (plain ALLS_WELL heartbeats) are appended to a
-// per-host pending `TraceDigest` and flushed as one signed digest message
-// per interval (or early when the digest fills up). Urgent traces —
-// suspicions, failures, state transitions, recovery ALLS_WELLs carrying
-// detail — always publish immediately, after flushing the host's pending
-// digest so trackers never observe a recovery before the heartbeats that
-// preceded it.
+// `trace()` always publishes one per-entity message, after flushing the
+// host's pending digest so trackers never observe a suspicion or a
+// recovery before the heartbeats that preceded it. With
+// `Options::digest_interval > 0` the hosting broker hands plain
+// heartbeats to `fold()` instead: each ping response's heartbeats become
+// one liveness bitmap in the host's pending `TraceDigest` (DESIGN.md §14),
+// which flushes as one signed message per interval, or early once it
+// holds `digest_max_entries` observations. At flush the digest asks the
+// broker's roster source whether it owes trackers the roster. With
+// `digest_interval == 0` nothing is folded and every heartbeat travels
+// per-entity, byte-identical to the historical behaviour.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/clock.h"
@@ -42,10 +44,10 @@ namespace et::tracing {
 class TraceEmitter {
  public:
   struct Options {
-    /// 0 = per-entity passthrough; > 0 = coalesce plain ALLS_WELL traces
+    /// 0 = per-entity passthrough; > 0 = fold plain ALLS_WELL heartbeats
     /// into one digest per host per interval.
     Duration digest_interval = 0;
-    /// Flush a pending digest early once it holds this many entries.
+    /// Flush a pending digest early once it holds this many observations.
     std::size_t digest_max_entries = 256;
   };
 
@@ -60,6 +62,21 @@ class TraceEmitter {
     bool secure = false;
   };
 
+  /// One ping response's plain heartbeats over a host's roster.
+  struct Heartbeats {
+    std::uint64_t epoch = 0;    // the roster's epoch
+    std::uint32_t members = 0;  // roster size
+    /// Bit i (LSB first) is set when roster member i answered and is
+    /// neither suspected nor failed; (members + 7) / 8 bytes.
+    Bytes bits;
+    std::size_t count = 0;  // set bits
+  };
+
+  /// The roster a host's digest owes trackers, in bit order, or an empty
+  /// list when it owes none. Asked once per digest flush.
+  using RosterSource = std::function<std::vector<std::string>(
+      const std::string& host_id, std::uint64_t epoch)>;
+
   struct Stats {
     std::uint64_t traces_published = 0;   // per-entity messages
     std::uint64_t digests_published = 0;  // digest messages
@@ -69,7 +86,7 @@ class TraceEmitter {
   /// `wheel` is required when `options.digest_interval > 0` (flush timers
   /// ride the coalescing wheel); it may be null in passthrough mode.
   TraceEmitter(pubsub::Broker& broker, Rng& rng, Options options,
-               TimerWheel* wheel = nullptr);
+               TimerWheel* wheel = nullptr, RosterSource roster = nullptr);
   /// Passthrough emitter: per-entity publication, no coalescing.
   TraceEmitter(pubsub::Broker& broker, Rng& rng)
       : TraceEmitter(broker, rng, Options()) {}
@@ -78,11 +95,24 @@ class TraceEmitter {
   TraceEmitter(const TraceEmitter&) = delete;
   TraceEmitter& operator=(const TraceEmitter&) = delete;
 
-  /// Publishes one observation. `host_id` keys the pending digest (the
-  /// traced host for batch sessions; the entity itself otherwise). The
-  /// payload's issued_at/secured fields are stamped here.
+  /// True when plain heartbeats go to fold() rather than trace().
+  [[nodiscard]] bool digests() const {
+    return options_.digest_interval > 0 && wheel_ != nullptr;
+  }
+
+  /// Publishes one per-entity observation, after flushing `host_id`'s
+  /// pending digest (`host_id` is the traced host for batch sessions, the
+  /// entity itself otherwise). The payload's issued_at/secured fields are
+  /// stamped here.
   void trace(const Signing& signing, const std::string& host_id,
              TracePayload payload);
+
+  /// Folds one ping response's heartbeats into `host_id`'s pending digest
+  /// as one bitmap (digests() only). A digest that reaches
+  /// digest_max_entries observations flushes at once and the rest of the
+  /// response opens the next one.
+  void fold(const Signing& signing, const std::string& host_id,
+            const Heartbeats& beats);
 
   /// Publishes an already-serialized payload on an explicit topic with the
   /// standard token + delegate signature, never encrypted or coalesced
@@ -111,6 +141,7 @@ class TraceEmitter {
   /// material (the session may be gone by flush time).
   struct Pending {
     TraceDigest digest;
+    std::size_t entries = 0;  // observations: set bits over all bitmaps
     std::string trace_topic;
     AuthorizationToken token;
     crypto::RsaPrivateKey delegate_key;
@@ -127,6 +158,11 @@ class TraceEmitter {
     TimePoint issued_at = 0;
   };
 
+  /// `host_id`'s pending digest, opened over `beats`' roster (with its
+  /// flush timer) when there is none.
+  Pending& pending_for(const Signing& signing, const std::string& host_id,
+                       const Heartbeats& beats);
+
   void publish_signed(std::string topic, Bytes body, bool encrypt,
                       const crypto::SecretKey& trace_key,
                       const AuthorizationToken& token,
@@ -137,9 +173,9 @@ class TraceEmitter {
   Rng& rng_;
   Options options_;
   TimerWheel* wheel_;
+  RosterSource roster_;
   std::uint64_t sequence_ = 0;
   std::map<std::string, Pending> pending_;
-  std::map<std::string, std::uint64_t> rounds_;  // per-host digest rounds
   Stats stats_;
   persist::TraceLedger* ledger_ = nullptr;
 };

@@ -9,6 +9,19 @@ namespace et::tracing {
 
 namespace tt = pubsub::trace_topics;
 
+namespace {
+
+/// A session's roster epoch, taken from its random id so that no two
+/// sessions share one; never 0, which means "none".
+std::uint64_t roster_epoch_of(const Uuid& session_id) {
+  const Bytes id = session_id.to_bytes();
+  std::uint64_t epoch = 0;
+  for (int i = 0; i < 8; ++i) epoch = (epoch << 8) | id[i];
+  return epoch == 0 ? 1 : epoch;
+}
+
+}  // namespace
+
 TracingBrokerService::TracingBrokerService(pubsub::Broker& broker,
                                            TrustAnchors anchors,
                                            TracingConfig config,
@@ -28,7 +41,10 @@ TracingBrokerService::TracingBrokerService(pubsub::Broker& broker,
       emitter_(broker, rng_,
                TraceEmitter::Options{config.digest_interval,
                                      config.digest_max_entries},
-               &wheel_) {
+               &wheel_,
+               [this](const std::string& host_id, std::uint64_t epoch) {
+                 return owed_roster(host_id, epoch);
+               }) {
   // §3.2: entities register with THE broker they are connected to, so the
   // registration subscriptions must not propagate — otherwise every broker
   // in the network would mint a (phantom) session for every entity.
@@ -159,6 +175,7 @@ void TracingBrokerService::mint_session(const std::string& id,
   s.advertisement = ad;
   s.session_key = crypto::SecretKey::generate(rng_, config_.symmetric_alg);
   s.ping_interval = config_.ping_interval;
+  s.roster_epoch = roster_epoch_of(s.session_id);
   const Uuid sid = s.session_id;
 
   // Broker subscribes to the entity->broker session topic (§3.2). The
@@ -400,7 +417,8 @@ void TracingBrokerService::handle_token_delivery(Session& s,
   }
 }
 
-void TracingBrokerService::member_miss(Session& s, MemberRecord& rec) {
+void TracingBrokerService::member_miss(Session& s, MemberRecord& rec,
+                                       TraceEmitter::Heartbeats* earlier) {
   ++rec.consecutive_misses;
   if (!rec.failed && rec.consecutive_misses >= config_.failed_misses) {
     rec.failed = true;
@@ -410,7 +428,7 @@ void TracingBrokerService::member_miss(Session& s, MemberRecord& rec) {
     p.entity_id = rec.entity_id;
     p.detail = "no ping response after " +
                std::to_string(rec.consecutive_misses) + " attempts";
-    publish_trace(s, std::move(p));
+    publish_trace(s, std::move(p), earlier);
   } else if (!rec.suspected &&
              rec.consecutive_misses >= config_.suspicion_misses) {
     rec.suspected = true;
@@ -420,11 +438,12 @@ void TracingBrokerService::member_miss(Session& s, MemberRecord& rec) {
     p.entity_id = rec.entity_id;
     p.detail = std::to_string(rec.consecutive_misses) +
                " consecutive pings unanswered";
-    publish_trace(s, std::move(p));
+    publish_trace(s, std::move(p), earlier);
   }
 }
 
-void TracingBrokerService::member_alive(Session& s, MemberRecord& rec) {
+void TracingBrokerService::member_alive(Session& s, MemberRecord& rec,
+                                        TraceEmitter::Heartbeats& earlier) {
   const bool was_down = rec.suspected || rec.failed;
   rec.consecutive_misses = 0;
   rec.suspected = false;
@@ -435,7 +454,7 @@ void TracingBrokerService::member_alive(Session& s, MemberRecord& rec) {
   // Recovery ALLS_WELLs carry detail so they travel urgently (ending a
   // suspicion must not wait for the next digest flush).
   if (was_down) p.detail = "entity responsive again";
-  publish_trace(s, std::move(p));
+  publish_trace(s, std::move(p), &earlier);
 }
 
 void TracingBrokerService::disconnect_session(Session& s,
@@ -553,31 +572,72 @@ void TracingBrokerService::handle_ping_response(Session& s,
   // Fan the liveness bitmap back out: bit i covers roster member i; a
   // clear bit is a per-member miss even though the session answered. An
   // empty bitmap (a single entity's response) answers for every member.
-  // A member that answered and is not down would only yield a plain
-  // ALLS_WELL; while no tracker wants those (§3.5) it costs the counter
-  // publish_trace would have bumped (before delegation, not even that).
-  // Only the ladder calls can publish, and a publish can reentrantly
-  // tear the session down, so only they are followed by the re-check.
+  // A member that answered and is not down yields a plain heartbeat.
+  // While no tracker wants those (§3.5) it costs the counter publish_trace
+  // would have bumped (before delegation, not even that); with digests on
+  // it is one bit of this response's heartbeat bitmap, which the host's
+  // digest takes as a whole (DESIGN.md §14). Only the ladder calls publish
+  // per-entity traces, and a publish can reentrantly tear the session
+  // down, so only they are followed by the re-check.
   const bool heartbeats_wanted =
       !s.token.empty() && (effective_interest(s) & kCatAllUpdates) != 0;
+  const bool fold = heartbeats_wanted && emitter_.digests();
+  TraceEmitter::Heartbeats beats;
+  if (fold) {
+    beats.epoch = s.roster_epoch;
+    beats.members = static_cast<std::uint32_t>(s.members.size());
+    beats.bits.assign((s.members.size() + 7) / 8, 0);
+  }
   const Uuid sid = s.session_id;
   for (std::size_t i = 0; i < s.members.size(); ++i) {
     MemberRecord& rec = roster_[s.members[i]];
+    const std::uint8_t bit = static_cast<std::uint8_t>(1u << (i % 8));
     const bool alive = sm.liveness.empty() ||
                        (i / 8 < sm.liveness.size() &&
-                        ((sm.liveness[i / 8] >> (i % 8)) & 1u) != 0);
-    if (alive && !heartbeats_wanted && !rec.suspected && !rec.failed) {
+                        (sm.liveness[i / 8] & bit) != 0);
+    if (alive && !rec.suspected && !rec.failed &&
+        (fold || !heartbeats_wanted)) {
       rec.consecutive_misses = 0;
-      if (!s.token.empty()) ++stats_.traces_suppressed_no_interest;
+      if (fold) {
+        beats.bits[i / 8] |= bit;
+        ++beats.count;
+      } else if (!s.token.empty()) {
+        ++stats_.traces_suppressed_no_interest;
+      }
       continue;
     }
     if (alive) {
-      member_alive(s, rec);
+      member_alive(s, rec, beats);
     } else {
-      member_miss(s, rec);
+      member_miss(s, rec, &beats);
     }
     if (!sessions_.contains(sid)) return;
   }
+  if (beats.count > 0) fold_heartbeats(s, beats);
+}
+
+void TracingBrokerService::fold_heartbeats(Session& s,
+                                           TraceEmitter::Heartbeats& beats) {
+  stats_.traces_published += beats.count;
+  emitter_.fold(signing(s), s.entity_id, beats);
+  std::fill(beats.bits.begin(), beats.bits.end(), 0);
+  beats.count = 0;
+}
+
+std::vector<std::string> TracingBrokerService::owed_roster(
+    const std::string& host_id, std::uint64_t epoch) {
+  const auto it = by_entity_.find(host_id);
+  if (it == by_entity_.end()) return {};
+  const auto sit = sessions_.find(it->second);
+  if (sit == sessions_.end()) return {};
+  Session& s = sit->second;
+  if (s.roster_epoch != epoch || !s.roster_owed) return {};
+  s.roster_owed = false;
+  // Built only for the digest that owes it: the arena holds the ids.
+  std::vector<std::string> ids;
+  ids.reserve(s.members.size());
+  for (const auto h : s.members) ids.push_back(roster_[h].entity_id);
+  return ids;
 }
 
 void TracingBrokerService::on_metrics_timer(const Uuid& session_id) {
@@ -668,6 +728,12 @@ void TracingBrokerService::handle_interest_response(const Uuid& session_id,
     return;
   }
   ++stats_.interest_responses;
+  // A heartbeat tracker without this session's roster gets it on the next
+  // digest (DESIGN.md §14).
+  if ((resp.categories & kCatAllUpdates) != 0 &&
+      resp.roster_epoch != s.roster_epoch) {
+    s.roster_owed = true;
+  }
   const bool first_interest = effective_interest(s) == 0;
   s.interests[resp.tracker_id] =
       TrackerInterest{resp.categories, s.gauge_round};
@@ -716,7 +782,8 @@ std::uint8_t TracingBrokerService::effective_interest(
   return mask;
 }
 
-void TracingBrokerService::publish_trace(Session& s, TracePayload payload) {
+void TracingBrokerService::publish_trace(Session& s, TracePayload payload,
+                                         TraceEmitter::Heartbeats* earlier) {
   if (s.token.empty()) return;  // delegation not complete yet
   const std::uint8_t category = category_of(payload.type);
   if (category == 0) return;  // GAUGE_INTEREST goes through on_gauge_timer
@@ -725,17 +792,29 @@ void TracingBrokerService::publish_trace(Session& s, TracePayload payload) {
     ++stats_.traces_suppressed_no_interest;
     return;
   }
-  // The emitter owns the signing ritual (and, with digests enabled, the
-  // coalescing choice). The pending digest is keyed by the session's
-  // entity id — the host for batch sessions.
+  if (earlier != nullptr && earlier->count > 0) {
+    const Uuid sid = s.session_id;
+    fold_heartbeats(s, *earlier);
+    if (!sessions_.contains(sid)) return;
+  }
+  // The emitter owns the signing ritual. The pending digest it flushes
+  // first is keyed by the session's entity id — the host for batch
+  // sessions.
   emitter_.trace(signing(s), s.entity_id, std::move(payload));
   ++stats_.traces_published;
 }
 
 void TracingBrokerService::erase_session(Session& s) {
-  // Extract first: any reentrant lookup (a flush's publish can fire the
-  // client-unreachable listener) must no longer find this session.
-  auto node = sessions_.extract(s.session_id);
+  // Ship the heartbeats observed before teardown while the roster source
+  // can still find the session (its roster may be owed). The publish may
+  // reentrantly tear the session down already.
+  const Uuid sid = s.session_id;
+  const std::string host_id = s.entity_id;
+  emitter_.flush(host_id);
+  // Extract before touching anything else: any further reentrant lookup
+  // (a publish can fire the client-unreachable listener) must no longer
+  // find this session.
+  auto node = sessions_.extract(sid);
   if (node.empty()) return;
   Session& dead = node.mapped();
   wheel_.cancel(dead.ping_timer);
@@ -750,8 +829,6 @@ void TracingBrokerService::erase_session(Session& s) {
     roster_.erase(h);
   }
   dead.members.clear();
-  // Ship any heartbeats observed before teardown.
-  emitter_.flush(dead.entity_id);
 }
 
 }  // namespace et::tracing

@@ -20,8 +20,11 @@
 //     says which members answered;
 //   * publishes traces on the per-category derived topics through a
 //     TraceEmitter, every one carrying the entity's authorization token
-//     and a delegate-key signature (§4.3); with digests enabled, plain
-//     heartbeats coalesce into one signed digest per host per interval;
+//     and a delegate-key signature (§4.3); with digests enabled, a ping
+//     response's plain heartbeats become one liveness bitmap folded into
+//     the host's signed digest, and the digest carries the roster when it
+//     owes it (the session's first digest, or a tracker reported lacking
+//     the session's roster epoch);
 //   * gauges tracker interest periodically and publishes a category only
 //     while some tracker wants it (§3.5); unsolicited interest responses
 //     are also accepted (extension, documented in DESIGN.md);
@@ -156,6 +159,13 @@ class TracingBrokerService {
     /// Roster handles, in liveness-bit order. A single-entity session's
     /// roster is the entity itself.
     std::vector<SlotArena<MemberRecord>::Handle> members;
+    /// Names this session's roster in its digests (DESIGN.md §14): unique
+    /// per session, never 0.
+    std::uint64_t roster_epoch = 0;
+    /// The next digest carries the roster: set at mint and whenever a
+    /// heartbeat tracker reports another epoch, cleared when a digest
+    /// takes it.
+    bool roster_owed = true;
 
     Duration ping_interval = 0;
     std::uint64_t next_ping_number = 1;
@@ -202,19 +212,31 @@ class TracingBrokerService {
   void handle_ping_response(Session& s, const SessionMessage& sm);
   void handle_token_delivery(Session& s, const SessionMessage& sm);
   void deliver_trace_key(Session& s, const InterestResponse& resp);
-  void publish_trace(Session& s, TracePayload payload);
+  /// Publishes one per-entity trace if some tracker wants its category.
+  /// `earlier` holds heartbeats of the ping response being fanned out that
+  /// precede this trace; they are folded into the digest first.
+  void publish_trace(Session& s, TracePayload payload,
+                     TraceEmitter::Heartbeats* earlier = nullptr);
+  /// Hands `beats` to the emitter as one bitmap and clears it.
+  void fold_heartbeats(Session& s, TraceEmitter::Heartbeats& beats);
+  /// The emitter's roster source: `host_id`'s member ids when its session
+  /// has `epoch` and owes the roster (which it then no longer does).
+  std::vector<std::string> owed_roster(const std::string& host_id,
+                                       std::uint64_t epoch);
   /// The failure ladder, per roster member. Both may reentrantly tear the
   /// session down; callers re-check liveness.
-  void member_miss(Session& s, MemberRecord& rec);
-  void member_alive(Session& s, MemberRecord& rec);
+  void member_miss(Session& s, MemberRecord& rec,
+                   TraceEmitter::Heartbeats* earlier = nullptr);
+  void member_alive(Session& s, MemberRecord& rec,
+                    TraceEmitter::Heartbeats& earlier);
   /// Publishes DISCONNECT for every member, then tears the session down.
   void disconnect_session(Session& s, const std::string& detail);
   void publish_registration_error(const std::string& entity_id,
                                   std::uint64_t request_id,
                                   const std::string& error);
-  /// Tears a session down: cancels its timers, releases its broker
-  /// services, frees roster records, erases every by_entity_ alias and
-  /// flushes its pending digest. `s` must belong to sessions_; the
+  /// Tears a session down: flushes its pending digest, cancels its
+  /// timers, releases its broker services, frees roster records and
+  /// erases every by_entity_ alias. `s` must belong to sessions_; the
   /// reference is dead afterwards.
   void erase_session(Session& s);
   [[nodiscard]] std::uint8_t effective_interest(const Session& s) const;

@@ -219,13 +219,36 @@ void Tracker::on_digest(const std::string& trace_topic,
   }
   ++stats_.digests_received;
 
+  if (!digest.roster.empty()) {
+    t.roster_epoch = digest.epoch;
+    t.roster = std::move(digest.roster);
+  }
+  if (digest.epoch != t.roster_epoch) {
+    // No roster for this epoch (its roster-carrying digest was lost, or
+    // we joined after it): skip rather than guess, and ask once.
+    ++stats_.digests_without_roster;
+    if (t.roster_asked != digest.epoch) {
+      t.roster_asked = digest.epoch;
+      respond_interest(t, /*secured=*/true);
+    }
+    return;
+  }
+  if (digest.members != t.roster.size()) {
+    ++stats_.traces_rejected;  // bitmaps wider or narrower than the roster
+    return;
+  }
+
   // Expansion restores per-entity semantics: the handler observes the
   // same payload stream it would have without coalescing.
-  for (const TracePayload& payload : digest.expand()) {
+  TracePayload payload;
+  payload.type = TraceType::kAllsWell;
+  payload.issued_at = digest.issued_at;
+  digest.for_each_observation([&](std::size_t member) {
+    payload.entity_id = t.roster[member];
     ++stats_.digest_entries_expanded;
     ++stats_.traces_received;
     if (t.handler) t.handler(payload, m);
-  }
+  });
 }
 
 void Tracker::respond_interest(Tracked& t, bool secured) {
@@ -238,6 +261,7 @@ void Tracker::respond_interest(Tracked& t, bool secured) {
   if (secured && t.trace_key.empty()) {
     resp.key_delivery_topic = key_topic_for(t);
   }
+  resp.roster_epoch = t.roster_epoch;
 
   pubsub::Message m;
   m.topic = tt::interest_response(t.trace_topic);

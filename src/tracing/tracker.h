@@ -9,14 +9,22 @@
 //   * subscribes selectively to the per-category derived topics;
 //   * verifies every received trace end-to-end (token chain + delegate
 //     signature) before surfacing it;
-//   * answers GAUGE_INTEREST probes with its interest set and credential,
-//     and requests/uses the sealed trace key when traces are encrypted.
+//   * expands a host's digests (DESIGN.md §14) through the roster it
+//     caches per trace topic: every set bit of a digest's liveness
+//     bitmaps is one member's ALLS_WELL. The roster arrives inside a
+//     digest; a digest whose roster epoch it holds no roster for is
+//     skipped and counted, and the tracker asks for the roster once per
+//     epoch with an immediate interest response;
+//   * answers GAUGE_INTEREST probes with its interest set, credential and
+//     held roster epoch, and requests/uses the sealed trace key when
+//     traces are encrypted.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/crypto/credential.h"
 #include "src/crypto/secret_key.h"
@@ -38,6 +46,7 @@ struct TrackerStats {
   std::uint64_t keys_received = 0;
   std::uint64_t digests_received = 0;  // verified digest messages
   std::uint64_t digest_entries_expanded = 0;  // per-entity payloads from them
+  std::uint64_t digests_without_roster = 0;   // skipped: epoch not held
 };
 
 class Tracker {
@@ -93,6 +102,12 @@ class Tracker {
     std::uint8_t categories = 0;
     TraceHandler handler;
     crypto::SecretKey trace_key;
+    /// The host's roster (member ids in liveness-bit order) and the epoch
+    /// naming it; epoch 0 = none yet.
+    std::uint64_t roster_epoch = 0;
+    std::vector<std::string> roster;
+    /// Epoch whose roster was last asked for, so each is asked once.
+    std::uint64_t roster_asked = 0;
   };
 
   void begin_subscriptions(Tracked t, ReadyCallback on_ready);

@@ -28,6 +28,7 @@
 #include "src/chaos/schedule.h"
 #include "src/discovery/discovery_client.h"
 #include "src/discovery/tdn.h"
+#include "src/tracing/trace_digest.h"
 #include "src/transport/socket_network.h"
 #include "src/transport/virtual_network.h"
 
@@ -196,13 +197,18 @@ struct DurableRun {
   std::vector<std::string> violations;
   std::vector<std::string> audit;
   std::vector<std::string> heads;  // per-broker ledger head digests (hex)
+  std::size_t digest_heartbeats = 0;  // tracker observations from digests
 };
 
 /// Partition the chain, heal it, then state-restart TDN 0 and broker 0;
-/// sample truth throughout and audit the ledgers at the end.
-DurableRun run_durable_scenario(std::uint64_t seed) {
+/// sample truth throughout and audit the ledgers at the end. A nonzero
+/// `digest_interval` coalesces the entity's heartbeats into digests.
+DurableRun run_durable_scenario(std::uint64_t seed,
+                                Duration digest_interval = 0) {
   VirtualTimeNetwork net(seed);
-  ScenarioDeployment dep(net, durable_opts(seed));
+  ScenarioDeployment::Options opts = durable_opts(seed);
+  opts.config.digest_interval = digest_interval;
+  ScenarioDeployment dep(net, opts);
   dep.register_brokers();
   net.run_for(20 * kMillisecond);
 
@@ -213,8 +219,12 @@ DurableRun run_durable_scenario(std::uint64_t seed) {
   start_tracing(net, dep.entity(0));
 
   AvailabilityOracle oracle;
+  std::size_t digest_heartbeats = 0;
   track(net, dep.tracker(0), "entity-0",
-        oracle.tap("tracker-0", "entity-0", net));
+        oracle.tap("tracker-0", "entity-0", net,
+                   [&](const tracing::TracePayload&, const pubsub::Message& m) {
+                     if (m.topic.ends_with("/Digest")) ++digest_heartbeats;
+                   }));
 
   FailureSchedule schedule;
   schedule.partition(1 * kSecond, {{0, 1}, {2, 3}})
@@ -233,6 +243,7 @@ DurableRun run_durable_scenario(std::uint64_t seed) {
   }
 
   DurableRun out;
+  out.digest_heartbeats = digest_heartbeats;
   out.timeline = oracle.timeline();
   out.actions = engine.action_log();
   const Duration grace = 50 * kMillisecond + 2 * kSecond +
@@ -264,6 +275,58 @@ TEST(DurabilityChaos, AuditAfterPartitionPassesInvariantsAndChains) {
     }
   }
   EXPECT_TRUE(saw_state_restart);
+}
+
+// The audit's digest branch: with coalesced heartbeats, every heartbeat
+// the tracker saw must be vouched for by a digest record in the ledgers.
+TEST(DurabilityChaos, AuditAfterPartitionExpandsDigestRecords) {
+  const DurableRun r = run_durable_scenario(8103, 200 * kMillisecond);
+  EXPECT_GT(r.digest_heartbeats, 0u);
+  EXPECT_TRUE(r.audit.empty())
+      << r.audit.front() << " (+" << r.audit.size() - 1 << " more)";
+}
+
+// A digest record whose roster epoch no earlier record of its chain
+// carried cannot be expanded: the audit reports it instead of skipping it.
+TEST(DurabilityChaos, AuditReportsADigestWithoutItsRoster) {
+  VirtualTimeNetwork net(8104);
+  ScenarioDeployment::Options opts = durable_opts(8104);
+  opts.config.digest_interval = 200 * kMillisecond;
+  ScenarioDeployment dep(net, opts);
+  dep.register_brokers();
+  net.run_for(20 * kMillisecond);
+  dep.add_entity("entity-0", 0);
+  net.run_for(20 * kMillisecond);
+  dep.add_tracker("tracker-0", 3);
+  net.run_for(20 * kMillisecond);
+  start_tracing(net, dep.entity(0));
+  AvailabilityOracle oracle;
+  track(net, dep.tracker(0), "entity-0",
+        oracle.tap("tracker-0", "entity-0", net));
+  net.run_for(1 * kSecond);
+  ASSERT_TRUE(dep.audit_ledgers(oracle).empty());
+
+  persist::TraceLedger& ledger = dep.ledger(0);
+  std::string digest_topic;
+  for (const std::string& topic : ledger.topics()) {
+    if (topic.ends_with("/Digest")) digest_topic = topic;
+  }
+  ASSERT_FALSE(digest_topic.empty());
+  const tracing::TraceDigest last = tracing::TraceDigest::deserialize(
+      ledger.records(digest_topic).back().payload);
+  tracing::TraceDigest orphan = last;
+  orphan.roster.clear();
+  orphan.epoch = last.epoch + 1 == 0 ? 1 : last.epoch + 1;
+  ASSERT_TRUE(ledger
+                  .append(digest_topic, orphan.host_id,
+                          static_cast<std::uint8_t>(
+                              tracing::TraceType::kDigest),
+                          net.now(), orphan.serialize(), Bytes{})
+                  .is_ok());
+  const std::vector<std::string> audit = dep.audit_ledgers(oracle);
+  ASSERT_EQ(audit.size(), 1u);
+  EXPECT_NE(audit.front().find("roster epoch"), std::string::npos)
+      << audit.front();
 }
 
 // A deliberately tampered chain must fail the audit — the detection half

@@ -7,10 +7,14 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/pubsub/constrained_topic.h"
+#include "src/tracing/trace_digest.h"
+#include "src/tracing/trace_emitter.h"
 #include "src/transport/fault_injector.h"
 #include "tests/tracing/harness.h"
 
@@ -37,12 +41,15 @@ TracingConfig digest_config() {
   return c;
 }
 
-/// "host-0" with `members` members, registered at the first broker.
+/// `identity`'s host with `members` members, registered at the first
+/// broker.
 std::unique_ptr<EntityHost> register_host(TracingHarness& h,
                                           std::size_t members,
-                                          const TracingConfig& config) {
-  auto host = std::make_unique<EntityHost>(
-      h.net, h.make_identity("host-0"), h.anchors, config, h.rng.next_u64());
+                                          const TracingConfig& config,
+                                          crypto::Identity identity) {
+  auto host = std::make_unique<EntityHost>(h.net, std::move(identity),
+                                           h.anchors, config,
+                                           h.rng.next_u64());
   host->attach_tdn(h.tdn->node(), TracingHarness::link());
   host->connect_broker(h.brokers.front()->node(), TracingHarness::link());
   h.net.run_for(20 * kMillisecond);
@@ -56,6 +63,13 @@ std::unique_ptr<EntityHost> register_host(TracingHarness& h,
   for (int i = 0; i < 100 && !done; ++i) h.net.run_for(50 * kMillisecond);
   EXPECT_TRUE(reg.is_ok()) << reg.to_string();
   return host;
+}
+
+/// "host-0" with `members` members, registered at the first broker.
+std::unique_ptr<EntityHost> register_host(TracingHarness& h,
+                                          std::size_t members,
+                                          const TracingConfig& config) {
+  return register_host(h, members, config, h.make_identity("host-0"));
 }
 
 struct HostFixture {
@@ -423,6 +437,269 @@ TEST(EntityHostTest, DigestEntriesFollowAMixedLivenessBitmap) {
   std::string joined;
   for (const std::string& d : digests) joined += d + "|";
   EXPECT_EQ(joined, "02350235|02350235|02350235|02350235|02350235|");
+}
+
+/// One line per digest message, keyed by its sequence number: the last
+/// character of each expanded member id, in delivery order.
+using DigestLines = std::map<std::uint64_t, std::string>;
+
+Tracker::TraceHandler record_digests(DigestLines* out) {
+  return [out](const TracePayload& p, const pubsub::Message& m) {
+    if (!m.topic.ends_with("/Digest")) return;
+    ASSERT_EQ(p.type, TraceType::kAllsWell);
+    (*out)[m.sequence] += p.entity_id.substr(p.entity_id.size() - 1);
+  };
+}
+
+// Pins the digest boundaries when a round's heartbeats outnumber the
+// digest cap: a full digest flushes mid-round and the rest of the round
+// opens the next one.
+TEST(EntityHostTest, DigestCapSplitsRoundsAtPinnedBoundaries) {
+  TracingConfig c = digest_config();
+  c.digest_max_entries = 5;
+  HostFixture f(/*brokers=*/1, /*members=*/8, c);
+  f.host->set_responsive("member-2", false);
+  f.host->set_responsive("member-6", false);
+  auto tracker = f.h.make_tracker("observer");
+  DigestLines digests;
+  ASSERT_TRUE(f.h.track(*tracker, "host-0", kCatAllUpdates,
+                        record_digests(&digests))
+                  .is_ok());
+  f.h.net.run_for(1 * kSecond);
+
+  std::string joined;
+  for (const auto& [sequence, line] : digests) joined += line + "|";
+  EXPECT_EQ(joined,
+            "01345|70134|57013|45701|34570|13457|01345|70134|57013|45701|"
+            "34570|13457|01345|");
+}
+
+// A tracker that joins a running host sees, from its first expanded
+// digest on, exactly what a tracker watching from the start sees over
+// the same digests.
+TEST(EntityHostTest, LateTrackerSeesTheSameDigestSequence) {
+  HostFixture f(/*brokers=*/1, /*members=*/6);
+  f.host->set_responsive("member-1", false);
+  auto early = f.h.make_tracker("early");
+  DigestLines early_lines;
+  ASSERT_TRUE(f.h.track(*early, "host-0", kCatAllUpdates,
+                        record_digests(&early_lines))
+                  .is_ok());
+  f.h.net.run_for(1 * kSecond);
+  auto late = f.h.make_tracker("late");
+  DigestLines late_lines;
+  ASSERT_TRUE(f.h.track(*late, "host-0", kCatAllUpdates,
+                        record_digests(&late_lines))
+                  .is_ok());
+  f.h.net.run_for(1 * kSecond);
+  // Silence the host so every published digest reaches both trackers.
+  f.h.net.faults().crash(f.host->client().node());
+  f.h.net.run_for(300 * kMillisecond);
+
+  ASSERT_GE(late_lines.size(), 5u);
+  const DigestLines tail(early_lines.lower_bound(late_lines.begin()->first),
+                         early_lines.end());
+  EXPECT_EQ(late_lines, tail);
+  for (const auto& [sequence, line] : late_lines) {
+    EXPECT_EQ(line.size() % 5, 0u) << line;
+    EXPECT_EQ(line.find('1'), std::string::npos) << line;
+  }
+}
+
+// The host's session is replaced by a re-registration on the same trace
+// topic (a failover to the second broker): the tracker's per-digest
+// heartbeat sequence carries on under the new session.
+TEST(EntityHostTest, SessionReplacementContinuesTheDigestSequence) {
+  HostFixture f(/*brokers=*/2, /*members=*/4,
+                TracingHarness::failover_config(digest_config()));
+  f.h.register_brokers();
+  f.host->set_responsive("member-1", false);
+  auto tracker = f.h.make_tracker("observer", 1);
+  std::vector<std::pair<std::string, std::string>> digests;  // publisher
+  std::uint64_t last_sequence = 0;
+  std::string last_publisher;
+  ASSERT_TRUE(f.h.track(
+                   *tracker, "host-0", kCatAllUpdates,
+                   [&](const TracePayload& p, const pubsub::Message& m) {
+                     if (!m.topic.ends_with("/Digest")) return;
+                     if (digests.empty() || m.sequence != last_sequence ||
+                         m.publisher != last_publisher) {
+                       digests.emplace_back(m.publisher, "");
+                       last_sequence = m.sequence;
+                       last_publisher = m.publisher;
+                     }
+                     digests.back().second +=
+                         p.entity_id.substr(p.entity_id.size() - 1);
+                   })
+                  .is_ok());
+  f.h.net.run_for(1 * kSecond);
+  const Uuid first_session = f.host->session_id();
+
+  f.h.net.faults().crash(f.h.brokers[0]->node());
+  for (int i = 0; i < 200 && f.host->stats().failovers == 0; ++i) {
+    f.h.net.run_for(100 * kMillisecond);
+  }
+  ASSERT_EQ(f.host->stats().failovers, 1u);
+  EXPECT_NE(f.host->session_id(), first_session);
+  f.h.net.run_for(2 * kSecond);
+
+  std::size_t before = 0, after = 0;
+  for (const auto& [publisher, line] : digests) {
+    EXPECT_EQ(line.size() % 3, 0u) << publisher << ": " << line;
+    EXPECT_EQ(line.find('1'), std::string::npos) << publisher << ": " << line;
+    (publisher == f.h.brokers[0]->name() ? before : after) += line.size() / 3;
+  }
+  EXPECT_GE(before, 5u);
+  EXPECT_GE(after, 10u);
+  // The old session's digests all precede the new session's.
+  std::vector<std::string> publishers;
+  for (const auto& [publisher, line] : digests) {
+    if (publishers.empty() || publishers.back() != publisher) {
+      publishers.push_back(publisher);
+    }
+  }
+  EXPECT_EQ(publishers, (std::vector<std::string>{f.h.brokers[0]->name(),
+                                                  f.h.brokers[1]->name()}));
+}
+
+// The roster-carrying digest is lost on the tracker's link. Without any
+// roster change, the tracker skips the first digest it cannot expand,
+// asks for the roster once, and the next digest brings it.
+TEST(EntityHostTest, LostRosterIsResentOnTheTrackersRequest) {
+  TracingConfig c = digest_config();
+  c.gauge_interval = 60 * kSecond;  // recovery must not wait for a gauge
+  HostFixture f(/*brokers=*/1, /*members=*/5, c);
+  auto tracker = f.h.make_tracker("observer");
+  std::map<std::string, int> heartbeats;
+  ASSERT_TRUE(f.h.track(*tracker, "host-0", kCatAllUpdates,
+                        [&](const TracePayload& p, const pubsub::Message&) {
+                          ++heartbeats[p.entity_id];
+                        })
+                  .is_ok());
+  // The tracker's interest reached the broker; no digest has been flushed
+  // since. Lose the next few, the roster-carrying one among them.
+  const transport::NodeId link_a = tracker->client().node();
+  const transport::NodeId link_b = f.h.brokers[0]->node();
+  f.h.net.faults().blackhole(link_a, link_b);
+  f.h.net.run_for(300 * kMillisecond);
+  f.h.net.faults().restore(link_a, link_b);
+  ASSERT_GE(f.h.services[0]->emitter_stats().digests_published, 2u);
+  EXPECT_TRUE(heartbeats.empty());
+
+  for (int i = 0; i < 50 && tracker->stats().digests_without_roster == 0;
+       ++i) {
+    f.h.net.run_for(5 * kMillisecond);
+  }
+  ASSERT_EQ(tracker->stats().digests_without_roster, 1u);
+  EXPECT_TRUE(heartbeats.empty());
+  f.h.net.run_for(2 * c.digest_interval);
+  for (const std::string& id : member_ids(5)) {
+    EXPECT_GE(heartbeats[id], 1) << id;
+  }
+  EXPECT_EQ(tracker->stats().digests_without_roster, 1u);
+  EXPECT_EQ(f.h.services[0]->stats().registrations, 1u);
+}
+
+// A digest the tracker cannot expand exactly is never expanded: one whose
+// roster epoch it holds no roster for, and one whose bitmaps are wider
+// than the roster of its epoch. Both are signed with a valid delegation,
+// so only the roster check stands between them and the handler.
+TEST(EntityHostTest, DigestsThatDisagreeWithTheRosterAreNeverExpanded) {
+  const TracingConfig config = digest_config();
+  TracingHarness h(/*broker_count=*/2, config);
+  const crypto::Identity identity = h.make_identity("host-0");
+  auto host = register_host(h, /*members=*/4, config, identity);
+  auto tracker = h.make_tracker("observer", 1);
+  std::size_t heartbeats = 0;
+  std::optional<pubsub::Message> last;
+  ASSERT_TRUE(h.track(*tracker, "host-0", kCatAllUpdates,
+                      [&](const TracePayload&, const pubsub::Message& m) {
+                        ++heartbeats;
+                        last = m;
+                      })
+                  .is_ok());
+  h.net.run_for(500 * kMillisecond);
+  ASSERT_TRUE(last.has_value());
+  const TraceDigest seen = TraceDigest::deserialize(last->payload);
+  ASSERT_EQ(seen.members, 4u);
+  host->set_responsive(false);  // no genuine digests from here on
+  h.net.run_for(300 * kMillisecond);
+  const std::size_t before = heartbeats;
+  const TrackerStats s0 = tracker->stats();
+
+  const crypto::RsaKeyPair delegate = crypto::rsa_generate(h.rng, 512);
+  const AuthorizationToken token = AuthorizationToken::create(
+      host->advertisement(), delegate.public_key, TokenRights::kPublish,
+      h.net.now(), h.net.now() + 60 * kSecond, identity.keys.private_key);
+  std::uint64_t sequence = 1u << 20;
+  const auto publish = [&](const TraceDigest& d) {
+    pubsub::Message m;
+    m.topic = last->topic;
+    m.payload = d.serialize();
+    m.publisher = h.brokers[0]->name();
+    m.sequence = ++sequence;
+    m.timestamp = h.net.now();
+    m.auth_token = token.serialize();
+    m.signature = delegate.private_key.sign(m.signable_bytes());
+    h.brokers[0]->publish_from_broker(std::move(m));
+    h.net.run_for(50 * kMillisecond);
+  };
+  TraceDigest wider = seen;
+  wider.roster.clear();
+  wider.members = 12;
+  wider.bitmaps = {0xff, 0x0f};
+  publish(wider);
+  EXPECT_EQ(tracker->stats().traces_rejected, s0.traces_rejected + 1);
+  TraceDigest unknown = seen;
+  unknown.roster.clear();
+  unknown.epoch = seen.epoch + 1 == 0 ? 1 : seen.epoch + 1;
+  unknown.bitmaps = {0x0f};
+  publish(unknown);
+  EXPECT_EQ(tracker->stats().digests_without_roster,
+            s0.digests_without_roster + 1);
+  EXPECT_EQ(heartbeats, before);
+
+  // The same delegation over the held roster does expand.
+  TraceDigest known = seen;
+  known.roster.clear();
+  known.bitmaps = {0x0f};
+  publish(known);
+  EXPECT_EQ(heartbeats, before + 4);
+}
+
+// An unauthenticated batch registration whose entity count no payload
+// could hold is rejected as malformed, and the broker keeps serving.
+TEST(EntityHostTest, OversizedBatchCountIsRejectedAsMalformed) {
+  const TracingConfig config = digest_config();
+  TracingHarness h(/*broker_count=*/1, config);
+  const crypto::Identity forger = h.make_identity("forger");
+  const discovery::TopicAdvertisement ad(
+      Uuid::generate(h.rng), "Availability/Traces/forger", forger.credential,
+      {}, 0, 3600 * kSecond, "tdn-0", Bytes{});
+  Writer w;
+  w.str(forger.id);
+  w.bytes(forger.credential.serialize());
+  w.bytes(ad.serialize());
+  w.u64(/*request_id=*/1);
+  w.u32(0xFFFFFFFFu);  // entity count, with no ids behind it
+
+  pubsub::Client client(h.net, forger.id);
+  client.connect(h.brokers[0]->node(), TracingHarness::link());
+  h.net.run_for(20 * kMillisecond);
+  pubsub::Message m;
+  m.topic = pubsub::trace_topics::registration_batch();
+  m.publisher = forger.id;
+  m.payload = std::move(w).take();
+  std::uint64_t sequence = 0;
+  publish_signed(client, std::move(m), forger.keys.private_key, sequence,
+                 h.net.now());
+  h.net.run_for(50 * kMillisecond);
+  EXPECT_EQ(h.services[0]->stats().rejected_registrations, 1u);
+  EXPECT_EQ(h.services[0]->stats().batch_registrations, 0u);
+
+  auto host = register_host(h, /*members=*/4, config);
+  EXPECT_TRUE(h.services[0]->has_session_for("host-0"));
+  EXPECT_EQ(h.services[0]->stats().batch_registrations, 1u);
 }
 
 TEST(EntityHostTest, RegistrationIsServedOnlyByTheHostingBroker) {
