@@ -1,47 +1,28 @@
-// E11 — sharded subscription table + threaded match stage.
+// E11 — sharded subscription table vs the legacy std::map table.
 //
-// Two views of the scaling change (DESIGN.md §9):
-//   1. Table microbench: the sharded snapshot table vs the previous
-//      std::map implementation (reproduced below as LegacyMapTable),
-//      single-threaded match cost across pattern counts and two
-//      workloads. "exact" is the paper's trace workload — wildcard-free
-//      UUID topics — where the sharded table resolves matches by binary
-//      search instead of a scan. "wildcard" keeps every pattern on the
-//      scan path and guards the "no regression at match_threads=0"
-//      requirement even on the sharded table's worst case (every
-//      pattern under one top-level segment).
-//   2. Broker bench: aggregate publish->deliver throughput through one
-//      RealTimeNetwork broker carrying heavy wildcard subscription
-//      state, at match_threads 0 / 2 / 4. With workers, the match stage
-//      leaves the broker's node thread, which then only parses inbound
-//      frames and executes send stages. Note: offloading only shows a
-//      wall-clock win when the host has spare cores — the JSON reports
-//      hw_concurrency so single-core container runs (where T>0 can at
-//      best tie T=0) are interpretable.
+// Table microbench (DESIGN.md §9): the sharded snapshot table vs the
+// previous std::map implementation (reproduced below as LegacyMapTable),
+// single-threaded match cost across pattern counts and two workloads.
+// "exact" is the paper's trace workload — wildcard-free UUID topics —
+// where the sharded table resolves matches by binary search instead of a
+// scan. "wildcard" keeps every pattern on the scan path: the sharded
+// table's worst case (every pattern under one top-level segment).
 //
-// Emits the human-readable tables of the other benches plus one JSON
+// Emits the human-readable table of the other benches plus one JSON
 // object per table/counter set (see PaperTable::print_json) so a
 // BENCH_subscription_sharding trajectory can be tracked across PRs.
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
+#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/pubsub/broker.h"
-#include "src/pubsub/client.h"
 #include "src/pubsub/subscription.h"
-#include "src/pubsub/topology.h"
-#include "src/transport/realtime_network.h"
 
 namespace et::bench {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Section A: table microbench vs the legacy std::map implementation.
 
 /// The pre-sharding SubscriptionTable, reproduced as the baseline: one
 /// std::map over all patterns, every match walks every entry.
@@ -161,122 +142,12 @@ MicroResult run_table_micro(std::size_t pattern_count, bool wildcard,
   return res;
 }
 
-// ---------------------------------------------------------------------------
-// Section B: one RealTimeNetwork broker under heavy subscription state.
-
-constexpr std::size_t kBrokerPatterns = 2048;
-constexpr int kPublishers = 4;
-constexpr int kPerPublisher = 500;
-
-/// Deep wildcard ballast patterns sharing the published topics' first
-/// segment: every one lands in the same candidate shard, stays on the
-/// scan path (trailing '*'), and only mismatches near its last segment,
-/// so each inbound message pays a full scan — the match stage dominates
-/// and the benefit of offloading it is visible (given spare cores).
-std::string ballast_pattern(std::size_t i) {
-  return "Bench/load/s1/s2/s3/s4/s5/s6/s7/s8/p" + std::to_string(i) + "/*";
-}
-
-double run_broker_throughput(int match_threads, PaperTable& table,
-                             double inline_msgs_per_sec) {
-  transport::RealTimeNetwork net(2024);
-  pubsub::Topology topo(net);
-  pubsub::Broker::Options o;
-  o.name = "b0";
-  o.match_threads = match_threads;
-  pubsub::Broker& broker = topo.add_broker(std::move(o));
-  const transport::LinkParams link = transport::LinkParams::ideal_profile();
-
-  // The sink holds the one matching subscription; the ballast client
-  // holds the scan weight.
-  pubsub::Client sink(net, "sink");
-  std::atomic<bool> sink_ok{false};
-  sink.connect(broker.node(), link,
-               [&](const Status& s) { sink_ok = s.is_ok(); });
-  std::atomic<std::uint64_t> delivered{0};
-  std::atomic<bool> subscribed{false};
-  sink.subscribe(
-      "Bench/#", [&](const pubsub::Message&) { delivered.fetch_add(1); },
-      [&](const Status& s) { subscribed = s.is_ok(); });
-
-  pubsub::Client ballast(net, "ballast");
-  std::atomic<bool> ballast_ok{false};
-  ballast.connect(broker.node(), link,
-                  [&](const Status& s) { ballast_ok = s.is_ok(); });
-  std::atomic<std::size_t> acked{0};
-  for (std::size_t i = 0; i < kBrokerPatterns; ++i) {
-    ballast.subscribe(
-        ballast_pattern(i), [](const pubsub::Message&) {},
-        [&](const Status& s) {
-          if (s.is_ok()) acked.fetch_add(1);
-        });
-  }
-
-  std::vector<std::unique_ptr<pubsub::Client>> pubs;
-  std::atomic<int> connected{0};
-  for (int p = 0; p < kPublishers; ++p) {
-    pubs.push_back(std::make_unique<pubsub::Client>(
-        net, "pub" + std::to_string(p)));
-    pubs.back()->connect(broker.node(), link, [&](const Status& s) {
-      if (s.is_ok()) connected.fetch_add(1);
-    });
-  }
-  for (int i = 0; i < 3000; ++i) {
-    if (sink_ok && subscribed && ballast_ok &&
-        acked == kBrokerPatterns && connected == kPublishers) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (acked != kBrokerPatterns || connected != kPublishers) std::abort();
-
-  SystemClock clock;
-  const TimePoint t0 = clock.now();
-  std::vector<std::thread> workers;
-  for (int p = 0; p < kPublishers; ++p) {
-    workers.emplace_back([&pubs, p] {
-      for (int i = 0; i < kPerPublisher; ++i) {
-        pubs[p]->publish(
-            "Bench/load/s1/s2/s3/s4/s5/s6/s7/s8/msg" + std::to_string(i),
-            to_bytes(std::to_string(i)));
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  constexpr std::uint64_t kTotal =
-      static_cast<std::uint64_t>(kPublishers) * kPerPublisher;
-  while (delivered.load() < kTotal) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (to_millis(clock.now() - t0) > 120000.0) std::abort();
-  }
-  const TimePoint t1 = clock.now();
-  net.stop();
-
-  const double elapsed_ms = to_millis(t1 - t0);
-  const double msgs_per_sec = 1000.0 * static_cast<double>(kTotal) /
-                              elapsed_ms;
-  RunningStats per_msg;  // single aggregate sample, paper-table format
-  per_msg.add(elapsed_ms / static_cast<double>(kTotal));
-  table.add_row("per-message latency, T=" + std::to_string(match_threads),
-                per_msg);
-  std::printf(
-      "{\"bench\":\"subscription_sharding\",\"counters\":{"
-      "\"match_threads\":%d,\"patterns\":%zu,\"messages\":%llu,"
-      "\"elapsed_ms\":%.2f,\"msgs_per_sec\":%.0f,"
-      "\"speedup_vs_inline\":%.2f,\"hw_concurrency\":%u}}\n",
-      match_threads, kBrokerPatterns,
-      static_cast<unsigned long long>(kTotal), elapsed_ms, msgs_per_sec,
-      inline_msgs_per_sec > 0 ? msgs_per_sec / inline_msgs_per_sec : 1.0,
-      std::thread::hardware_concurrency());
-  return msgs_per_sec;
-}
-
 }  // namespace
 }  // namespace et::bench
 
 int main() {
   std::printf(
-      "E11: Sharded subscription table + threaded match stage\n"
+      "E11: Sharded subscription table vs legacy std::map\n"
       "Units: milliseconds.\n");
   {
     et::bench::PaperTable table(
@@ -287,16 +158,6 @@ int main() {
     for (const std::size_t n : {64u, 256u, 1024u, 4096u}) {
       et::bench::run_table_micro(n, /*wildcard=*/true, table);
     }
-    table.print();
-    table.print_json("subscription_sharding");
-  }
-  {
-    et::bench::PaperTable table(
-        "Broker publish->deliver throughput, 2048 ballast patterns");
-    const double inline_rate =
-        et::bench::run_broker_throughput(0, table, 0.0);
-    et::bench::run_broker_throughput(2, table, inline_rate);
-    et::bench::run_broker_throughput(4, table, inline_rate);
     table.print();
     table.print_json("subscription_sharding");
   }

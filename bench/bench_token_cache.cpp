@@ -78,10 +78,10 @@ class FilterMicro {
     return tracing::make_trace_filter(anchors_, net_, std::move(cache));
   }
 
-  /// Drives the filter the way a broker would (the inline filter never
-  /// defers); the filter sees a view of `m`, as it would a wire frame.
+  /// Drives the filter the way a broker would: it sees a view of `m`, as
+  /// it would a wire frame, and ok means accept.
   bool accepts(const pubsub::MessageFilter& f, const pubsub::Message& m) {
-    return f(broker_, m.as_view(), 0).accepted();
+    return f(broker_, m.as_view(), 0).is_ok();
   }
 
  private:

@@ -132,7 +132,7 @@ class Deployment {
 
   Deployment(std::size_t broker_count, const transport::LinkParams& link,
              tracing::TracingConfig config, Shape shape = Shape::kChain,
-             std::uint64_t seed = 4242, int match_threads = 0)
+             std::uint64_t seed = 4242)
       : net(seed),
         link_(link),
         config_(config),
@@ -158,7 +158,6 @@ class Deployment {
     const pubsub::BrokerOptionsFn opts = [&](const std::string& name) {
       pubsub::Broker::Options o;
       o.name = name;
-      o.match_threads = match_threads;
       filters_.push_back(
           tracing::install_trace_filter(o, anchors_, net, config_));
       token_caches_.push_back(filters_.back().cache());

@@ -19,10 +19,12 @@
 #             subscription callbacks) and the bitmap-digest suites (the
 #             digest decoder takes roster and bitmap counts from the wire;
 #             trackers and the ledger audit index rosters by bit position)
+#             and the trace-filter suites (the inline filter parses every
+#             inbound token from the wire and reads token-cache entries)
 #   tsan    — ET_SANITIZE=thread build running the concurrency-sensitive
 #             suites, including the socket backend, the RealTimeNetwork
-#             chaos scenario and overlay-repair smokes, and local-service
-#             churn racing the broker's match workers
+#             chaos scenario and overlay-repair smokes, and the
+#             subscription-table RCU stress
 #   scale   — the E16 100k-entity smoke (bench_entity_scale --smoke):
 #             asserts the §14 resource floors (interest edges and armed
 #             timers each >= 100x fewer than entities, RSS under 512 MB)
@@ -98,11 +100,15 @@ run_asan() {
   # padding counts from the wire, expand digests through the tracker's
   # roster cache by bit position, and run the ledger audit's roster
   # expansion.
+  # The filter suites run the inline trace filter, which deserializes
+  # every inbound trace token from the wire bytes and dereferences token
+  # LRU entry pointers on the hot path.
   local filter='FrameAssembler|FrameCodec|Robustness|Persist|BigInt|Rsa|Aes'
   filter="$filter|Sha1"
   filter="$filter|Corruption|EntityHostTest|EndToEndTest|LifecycleTest"
   filter="$filter|SecurityTest|ChaosSoakTest"
   filter="$filter|TraceDigest|DigestChaos|DurabilityChaos.Audit"
+  filter="$filter|FilterFixture|CachedFilterFixture"
   ctest --test-dir build-asan --output-on-failure --timeout 300 -R "$filter"
 }
 
@@ -111,14 +117,14 @@ run_tsan() {
     -DET_BUILD_EXAMPLES=OFF
   # Threaded/wall-clock suites where TSan has something to bite on: the
   # socket backend's event loop, the conformance matrix across all three
-  # backends, the RealTimeNetwork chaos schedule and overlay-repair smokes
-  # (the latter matches via "RealTime"), and the SubscriptionStressTest
-  # "Threaded" cells, where match workers read the subscription tables and
-  # the local-service index while the node context adds and removes
-  # services.
+  # backends, the RealTimeNetwork chaos schedule, overlay-repair smokes
+  # and trace-filter burst (these match via "RealTime"), and
+  # SubscriptionStressTest: writer threads racing snapshot readers on the
+  # RCU subscription table, plus publishers and local-service churn on a
+  # real-time broker.
   # Persist rides along: fsync/close ordering under TSan's happens-before
   # checking costs little and keeps the durability layer in the matrix.
-  local filter='Realtime|RealTime|ChaosRealTimeSmoke|Threaded|Persist'
+  local filter='Realtime|RealTime|ChaosRealTimeSmoke|SubscriptionStress|Persist'
   if loopback_available; then
     filter="$filter|BackendConformance|SocketNetwork|FrameCodec"
   else

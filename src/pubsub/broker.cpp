@@ -1,10 +1,6 @@
 #include "src/pubsub/broker.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -49,84 +45,6 @@ std::size_t topic_hash(const TopicPath& path) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Match worker pool
-//
-// Workers pull inbound publishes off a shared queue, run the (read-only)
-// match stage against table snapshots, and post the send stage back into
-// the broker's node context. The pool holds no broker state of its own.
-
-class Broker::MatchPool {
- public:
-  struct Job {
-    Message m;
-    NodeId from;
-    TopicPath path;
-    std::optional<ConstrainedTopic> ct;
-    bool from_neighbour = false;
-  };
-
-  MatchPool(Broker& broker, int threads) : broker_(broker) {
-    workers_.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] { loop(); });
-    }
-  }
-
-  ~MatchPool() {
-    {
-      std::lock_guard lock(mu_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) {
-      if (w.joinable()) w.join();
-    }
-  }
-
-  void submit(Job job) {
-    {
-      std::lock_guard lock(mu_);
-      queue_.push_back(std::move(job));
-    }
-    cv_.notify_one();
-  }
-
-  [[nodiscard]] int threads() const {
-    return static_cast<int>(workers_.size());
-  }
-
- private:
-  void loop() {
-    for (;;) {
-      Job job;
-      {
-        std::unique_lock lock(mu_);
-        cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stopping; drop the backlog
-        job = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      MatchPlan plan =
-          broker_.compute_match(job.path, job.ct, job.from_neighbour);
-      // The send stage mutates sessions/counters, so it must run in the
-      // node context. std::function requires copyable captures; Message
-      // and MatchPlan both are.
-      broker_.backend_.post(
-          broker_.node_,
-          [b = &broker_, m = std::move(job.m), from = job.from,
-           plan = std::move(plan)] { b->execute_send(m, from, plan); });
-    }
-  }
-
-  Broker& broker_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Job> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-};
-
-// ---------------------------------------------------------------------------
 // Broker
 
 Broker::Broker(transport::NetworkBackend& backend, Options options)
@@ -150,19 +68,7 @@ Broker::Broker(transport::NetworkBackend& backend, Options options)
       name_, [this](NodeId from, BytesView payload) {
         on_packet(from, payload);
       });
-  // Worker-pool matching requires thread-safe post(); on single-threaded
-  // backends (VirtualTimeNetwork) clamp to the inline path so simulations
-  // stay deterministic no matter what the caller asked for.
-  if (options.match_threads > 0 && backend_.concurrent_dispatch()) {
-    match_pool_ = std::make_unique<MatchPool>(*this, options.match_threads);
-  }
   if (!misbehaviour_dir_.empty()) open_misbehaviour_store();
-}
-
-Broker::~Broker() = default;
-
-int Broker::match_threads() const {
-  return match_pool_ ? match_pool_->threads() : 0;
 }
 
 void Broker::peer(NodeId other) {
@@ -210,10 +116,10 @@ LocalServiceId Broker::subscribe_local(const std::string& pattern,
   const TopicPath& compiled = svc->compiled;
   const std::string& norm = svc->pattern;
 
-  // Republish the index RCU-style: node-context writers only, but match
-  // stages on worker threads may be reading the old snapshot right now.
-  // Only the touched bucket is copied; the new id is the largest, so
-  // appending keeps the bucket in registration order.
+  // Republish the index copy-on-write: a send stage may be iterating the
+  // old snapshot right now (a handler registering a service). Only the
+  // touched bucket is copied; the new id is the largest, so appending
+  // keeps the bucket in registration order.
   auto next = std::make_shared<ServiceIndex>(
       *local_services_.load(std::memory_order_acquire));
   std::shared_ptr<const ServiceList>& bucket =
@@ -357,22 +263,15 @@ void Broker::publish_from_broker(Message m) {
   if (m.sequence == 0) m.sequence = ++sequence_;
   if (m.timestamp == 0) m.timestamp = backend_.now();
   counters_.published.inc();
-  route(std::move(m), transport::kInvalidNode);
+  const TopicPath path(m.topic);
+  const Encoded enc{m, transport::share_payload(encode_publish_frame(m))};
+  route(FrameView::parse(*enc.wire), transport::kInvalidNode, path,
+        ConstrainedTopic::parse(path), &enc);
 }
 
 void Broker::add_client_unreachable_listener(
     ClientUnreachableHandler handler) {
   if (handler) unreachable_listeners_.push_back(std::move(handler));
-}
-
-void Broker::release_deferred(Message m, NodeId from) {
-  counters_.published.inc();
-  route(std::move(m), from);
-}
-
-void Broker::reject_deferred(NodeId from, const Status& why) {
-  counters_.discarded.inc();
-  report_misbehaviour(from, "filter rejected message: " + why.message());
 }
 
 std::string Broker::client_identity(NodeId id) const {
@@ -641,8 +540,8 @@ void Broker::handle_publish(NodeId from, const FrameView& f) {
   const MessageView& mv = *f.message;
   // Split and grammar-parse the topic exactly once; every downstream step
   // (edge enforcement, suppress check, routing) reuses the parsed forms.
-  TopicPath path(mv.topic);
-  std::optional<ConstrainedTopic> ct = ConstrainedTopic::parse(path);
+  const TopicPath path(mv.topic);
+  const std::optional<ConstrainedTopic> ct = ConstrainedTopic::parse(path);
 
   const bool from_broker = is_neighbour(from);
   if (!from_broker) {
@@ -664,69 +563,41 @@ void Broker::handle_publish(NodeId from, const FrameView& f) {
     }
   }
 
-  // Tracing-layer filter (token verification). Applies to all inbound
-  // messages; broker-originated traces go through publish_from_broker and
-  // are the local broker's own responsibility. A deferring filter
-  // materializes the message itself and resolves it later via
-  // release/reject_deferred.
+  // Tracing-layer filter (token verification), inline on the view.
+  // Applies to all inbound messages; broker-originated traces go through
+  // publish_from_broker and are the local broker's own responsibility.
   if (filter_) {
-    const FilterVerdict verdict = filter_(*this, mv, from);
-    if (verdict.rejected()) {
+    const Status verdict = filter_(*this, mv, from);
+    if (!verdict.is_ok()) {
       counters_.discarded.inc();
       report_misbehaviour(from,
-                          "filter rejected message: " + verdict.status.message());
+                          "filter rejected message: " + verdict.message());
       return;
     }
-    if (verdict.deferred()) return;  // the filter parked an owning copy
   }
 
   counters_.published.inc();
 
   // Non-canonical topic spellings must be rewritten so subscribers and
   // downstream hops see the canonical form — the wire bytes can't be
-  // forwarded verbatim. Rare; take the owning slow path.
+  // forwarded verbatim. Rare: one owning copy, encoded once.
   if (!topic_is_canonical(path, mv.topic)) {
     counters_.materialized.inc();
     Message m = mv.materialize();
     m.topic = path.canonical();
-    route(std::move(m), from, std::move(path), std::move(ct));
+    const Encoded enc{m, transport::share_payload(encode_publish_frame(m))};
+    route(FrameView::parse(*enc.wire), from, path, ct, &enc);
     return;
   }
-  route(f, from, std::move(path), std::move(ct));
+  route(f, from, path, ct);
 }
 
-void Broker::route(Message m, NodeId arrived_from) {
-  TopicPath path(m.topic);
-  std::optional<ConstrainedTopic> ct = ConstrainedTopic::parse(path);
-  route(std::move(m), arrived_from, std::move(path), std::move(ct));
-}
-
-void Broker::route(Message m, NodeId arrived_from, TopicPath path,
-                   std::optional<ConstrainedTopic> ct) {
-  const bool from_neighbour = is_neighbour(arrived_from);
-  if (match_pool_) {
-    match_pool_->submit({std::move(m), arrived_from, std::move(path),
-                         std::move(ct), from_neighbour});
-    return;
-  }
-  const MatchPlan plan = compute_match(path, ct, from_neighbour);
-  execute_send(m, arrived_from, plan);
-}
-
-void Broker::route(const FrameView& f, NodeId arrived_from, TopicPath path,
-                   std::optional<ConstrainedTopic> ct) {
-  const bool from_neighbour = is_neighbour(arrived_from);
-  if (match_pool_) {
-    // Worker-pool jobs outlive this packet handler call — and with it the
-    // wire buffer the view borrows from — so materialize now. TopicPath
-    // and ConstrainedTopic own their strings and cross safely.
-    counters_.materialized.inc();
-    match_pool_->submit({f.message->materialize(), arrived_from,
-                         std::move(path), std::move(ct), from_neighbour});
-    return;
-  }
-  const MatchPlan plan = compute_match(path, ct, from_neighbour);
-  execute_send(f, arrived_from, plan);
+void Broker::route(const FrameView& f, NodeId arrived_from,
+                   const TopicPath& path,
+                   const std::optional<ConstrainedTopic>& ct,
+                   const Encoded* encoded) {
+  const MatchPlan plan = compute_match(path, ct, is_neighbour(arrived_from));
+  execute_send(f, arrived_from, plan, encoded);
 }
 
 Broker::MatchPlan Broker::compute_match(
@@ -766,52 +637,29 @@ Broker::MatchPlan Broker::compute_match(
   return plan;
 }
 
-void Broker::execute_send(const Message& m, NodeId arrived_from,
-                          const MatchPlan& plan) {
-  // Local services (tracing broker, etc.). Handlers may register further
+void Broker::execute_send(const FrameView& f, NodeId arrived_from,
+                          const MatchPlan& plan, const Encoded* encoded) {
+  // Local services (tracing broker, etc.) take an owning Message: the
+  // broker's own when it built the frame, else one copy of the inbound
+  // view, paid only when a service matched. Handlers may register further
   // services while running (a trace registration subscribes the session
   // topics); the plan's snapshot pins the list iterated here, so newly
   // appended services never see the current message.
-  for (const LocalService* svc : plan.matched_services) svc->handler(m);
-
-  // Serialize the publish frame once per fan-out; every destination
-  // shares the same buffer.
-  transport::SharedPayload wire;
-  const auto encoded = [&]() -> const transport::SharedPayload& {
-    if (!wire) wire = transport::share_payload(encode_publish_frame(m));
-    return wire;
-  };
-
-  // Local clients.
-  for (const NodeId client : plan.local_targets) {
-    if (client == node_ || client == arrived_from) continue;
-    counters_.delivered_local.inc();
-    send_wire(client, encoded());
-  }
-
-  // Neighbour brokers with matching interest (split horizon). Empty when
-  // the match stage determined suppress-distribution applies.
-  for (const NodeId n : plan.remote_targets) {
-    if (n == arrived_from) continue;
-    counters_.forwarded.inc();
-    send_wire(n, encoded());
-  }
-}
-
-void Broker::execute_send(const FrameView& f, NodeId arrived_from,
-                          const MatchPlan& plan) {
-  // Local services take an owning Message; pay for the copy only when one
-  // actually matched.
   if (!plan.matched_services.empty()) {
-    counters_.materialized.inc();
-    const Message m = f.message->materialize();
+    std::optional<Message> copy;
+    if (encoded == nullptr) {
+      counters_.materialized.inc();
+      copy = f.message->materialize();
+    }
+    const Message& m = encoded != nullptr ? encoded->message : *copy;
     for (const LocalService* svc : plan.matched_services) svc->handler(m);
   }
 
-  // Pure forwarding re-sends the original wire bytes: one buffer copy out
-  // of the receive view, shared by every destination — zero owning
-  // Message copies and zero re-serializations.
-  transport::SharedPayload wire;
+  // One buffer shared by every destination: the broker's own encoding, or
+  // one copy of the received wire bytes — zero owning Message copies and
+  // zero re-serializations on a forwarding hop.
+  transport::SharedPayload wire = encoded != nullptr ? encoded->wire : nullptr;
+  const bool view_forward = encoded == nullptr;
   const auto shared_wire = [&]() -> const transport::SharedPayload& {
     if (!wire) {
       wire = std::make_shared<const Bytes>(f.wire.begin(), f.wire.end());
@@ -819,16 +667,19 @@ void Broker::execute_send(const FrameView& f, NodeId arrived_from,
     return wire;
   };
 
+  // Local clients.
   for (const NodeId client : plan.local_targets) {
     if (client == node_ || client == arrived_from) continue;
     counters_.delivered_local.inc();
-    counters_.view_forwards.inc();
+    if (view_forward) counters_.view_forwards.inc();
     send_wire(client, shared_wire());
   }
+  // Neighbour brokers with matching interest (split horizon). Empty when
+  // the match stage determined suppress-distribution applies.
   for (const NodeId n : plan.remote_targets) {
     if (n == arrived_from) continue;
     counters_.forwarded.inc();
-    counters_.view_forwards.inc();
+    if (view_forward) counters_.view_forwards.inc();
     send_wire(n, shared_wire());
   }
 }

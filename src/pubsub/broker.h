@@ -20,32 +20,21 @@
 //     threshold are disconnected (paper §5.2: "the broker will terminate
 //     communications with such an entity").
 //
-// Routing is split into two stages (DESIGN.md §9):
-//   * match — resolve the inbound topic against immutable snapshots of
-//     the subscription tables and local-service list. Touches no mutable
-//     broker state, so it can run on any thread.
-//   * send  — invoke matched local services and emit frames. Runs in the
-//     broker's node context, which remains the only mutator of sessions,
-//     strikes and tables.
-// With Options::match_threads > 0 (honoured only on backends reporting
-// concurrent_dispatch(), i.e. RealTimeNetwork) the match stage of each
-// inbound publish is offloaded to a small worker pool and the send stage
-// is posted back to the node context — the node thread stays free to
-// accept further traffic while workers match. Relative delivery order of
-// concurrently matched messages is then unspecified (per-message delivery
-// stays intact); leave match_threads at 0 where ordering or determinism
-// matters. With match_threads == 0 both stages run inline, byte-for-byte
-// identical to the single-context behaviour.
+// Routing runs over wire views (DESIGN.md §9): a publish is matched
+// against snapshots of the subscription tables and the local-service
+// index, then its frame bytes are sent to every destination. A relay
+// re-sends the bytes it received; a message the broker builds itself (its
+// own publications, or a topic rewritten to canonical form) is encoded
+// once and that one buffer goes to every destination. An owning Message
+// is materialized only when a local service matched.
 //
 // Threading: all mutable state is touched only from the broker's node
 // context (its packet handler and timers). Stats counters are relaxed
 // atomics and may be read from any thread. Setup calls (peer,
 // add_client_unreachable_listener, set_link_handler) must complete before
 // traffic starts; subscribe_local/unsubscribe_local may also run later
-// from the node context, since match workers read an immutable snapshot
-// of the local-service index. Like packet handlers, in-flight match jobs
-// and deferred filter verdicts reference the broker: stop the network
-// before destroying it.
+// from the node context. The packet handler references the broker: stop
+// the network before destroying it.
 #pragma once
 
 #include <array>
@@ -79,40 +68,13 @@ using LocalHandler = std::function<void(const Message&)>;
 /// increase in registration order; 0 is never issued.
 using LocalServiceId = std::uint64_t;
 
-/// Verdict of an inbound-message filter.
-///
-/// kDefer is the asynchronous-verification hook: the filter materializes
-/// the view it was handed (MessageView::materialize — the view dies with
-/// the packet handler call) and promises to resolve the owning copy later
-/// through exactly one of the broker's deferred-verdict entry points —
-/// Broker::release_deferred to admit it into routing, or
-/// Broker::reject_deferred to apply the same discard + misbehaviour
-/// accounting an inline rejection gets.
-struct FilterVerdict {
-  enum class Action : std::uint8_t { kAccept, kReject, kDefer };
-
-  Action action = Action::kAccept;
-  Status status = Status::ok();  // rejection reason when kReject
-
-  static FilterVerdict accept() { return {}; }
-  static FilterVerdict reject(Status why) {
-    return {Action::kReject, std::move(why)};
-  }
-  static FilterVerdict defer() { return {Action::kDefer, Status::ok()}; }
-
-  [[nodiscard]] bool accepted() const { return action == Action::kAccept; }
-  [[nodiscard]] bool rejected() const { return action == Action::kReject; }
-  [[nodiscard]] bool deferred() const { return action == Action::kDefer; }
-};
-
 /// Inbound filter: inspects a message arriving from a neighbour broker or
-/// client before routing. Runs in the broker's node context. `self` is the
-/// invoking broker — filters that defer keep it for the later
-/// release_deferred/reject_deferred call; inline filters ignore it. The
-/// message is a borrowed view into the wire bytes (valid only for this
-/// call): accept/reject verdicts cost no copy, and a deferring filter
-/// materializes exactly the messages it parks.
-using MessageFilter = std::function<FilterVerdict(
+/// client before routing, in the broker's node context. An ok Status
+/// accepts; any other is discarded and struck against `from`. The message
+/// is a borrowed view into the wire bytes, valid only for this call.
+/// `self` is the invoking broker; no filter in src/ reads it, but
+/// tracebench's SpanTracer::wrap_filter does, so it stays.
+using MessageFilter = std::function<Status(
     Broker& self, const MessageView& msg, transport::NodeId from)>;
 
 /// Invoked (in the broker's context) when a delivery to a directly
@@ -129,12 +91,11 @@ struct BrokerStats {
   std::uint64_t delivered_local = 0;  // copies delivered to local clients
   std::uint64_t discarded = 0;        // filter/constraint rejections
   std::uint64_t disconnects = 0;      // endpoints dropped for misbehaviour
-  /// Owning Message copies built out of wire views (slow-path decodes:
-  /// local-service delivery, deferred verification, worker-pool jobs,
-  /// non-canonical topics). The copies-per-hop measure E15 reports: a
-  /// pure-forward hop contributes 0 here.
+  /// Owning Message copies built out of wire views (local-service
+  /// delivery, non-canonical topic rewrites). The copies-per-hop measure
+  /// E15 reports: a pure-forward hop contributes 0 here.
   std::uint64_t materialized = 0;
-  /// Frames forwarded by re-sending the original wire bytes (no owning
+  /// Frames sent as a copy of the received wire bytes (no owning
   /// Message, no re-serialization).
   std::uint64_t view_forwards = 0;
 };
@@ -188,11 +149,6 @@ class Broker {
     /// empty. Further listeners can be appended after construction with
     /// add_client_unreachable_listener.
     ClientUnreachableHandler client_unreachable_handler;
-    /// Worker threads for the match stage of routing. 0 = match inline
-    /// in the node context (required for deterministic VirtualTimeNetwork
-    /// runs; the broker clamps to 0 on backends without
-    /// concurrent_dispatch()).
-    int match_threads = 0;
     /// Durable misbehaviour state directory (DESIGN.md §16): strike
     /// counters and the blacklist survive a restart-with-state when set,
     /// so a misbehaver cannot launder its record by waiting out a broker
@@ -215,10 +171,6 @@ class Broker {
 
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
-
-  /// Joins the match worker pool. The network must already be stopped
-  /// (or this broker's node quiesced) — see the threading note above.
-  ~Broker();
 
   /// Declares `other` a neighbour broker reachable over an existing link.
   /// Call on both brokers (see connect_brokers in topology.h). Safe at
@@ -296,7 +248,7 @@ class Broker {
   void resync_interest();
 
   /// Publishes a message *as this broker* (constrainer=Broker topics are
-  /// allowed). Enters normal routing.
+  /// allowed). Encoded once, then routed like any inbound frame.
   void publish_from_broker(Message m);
 
   /// Appends a dead-client listener (fires after any handler given in
@@ -304,28 +256,11 @@ class Broker {
   /// traffic starts.
   void add_client_unreachable_listener(ClientUnreachableHandler handler);
 
-  // --- deferred-verdict hooks (node context only) -------------------------
-  // A message filter that answered FilterVerdict::defer() resolves the
-  // parked message through exactly one of these. Both must be invoked in
-  // this broker's node context (post() back if the decision was computed
-  // on another thread).
-
-  /// Admits a previously deferred message into routing, as if the filter
-  /// had accepted it inline.
-  void release_deferred(Message m, transport::NodeId from);
-
-  /// Discards a previously deferred message: counted against the sender
-  /// exactly like an inline filter rejection (discard + misbehaviour
-  /// strike, disconnecting repeat offenders).
-  void reject_deferred(transport::NodeId from, const Status& why);
-
   [[nodiscard]] transport::NodeId node() const { return node_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   /// Consistent counter snapshot; safe from any thread.
   [[nodiscard]] BrokerStats stats() const { return counters_.snapshot(); }
   [[nodiscard]] transport::NetworkBackend& backend() { return backend_; }
-  /// Match-stage worker threads actually in use (0 after clamping).
-  [[nodiscard]] int match_threads() const;
 
   /// Interest edges this broker holds: registered patterns across the
   /// local and remote subscription tables. The per-broker state the E16
@@ -394,8 +329,7 @@ class Broker {
     std::shared_ptr<const ServiceList> wild;
   };
 
-  /// Result of the match stage: everything the send stage needs, resolved
-  /// entirely from immutable snapshots (safe to compute on any thread).
+  /// Result of the match stage: everything the send stage needs.
   struct MatchPlan {
     std::shared_ptr<const ServiceIndex> services;  // pins handler lifetimes
     /// Matched services in registration order, owned by *services.
@@ -404,40 +338,37 @@ class Broker {
     std::set<transport::NodeId> remote_targets;
   };
 
-  class MatchPool;
-
   void on_packet(transport::NodeId from, BytesView payload);
   void handle_connect(transport::NodeId from, const FrameView& f);
   void handle_subscribe(transport::NodeId from, const FrameView& f);
   void handle_unsubscribe(transport::NodeId from, const FrameView& f);
   void handle_publish(transport::NodeId from, const FrameView& f);
 
-  /// Plain-path routing: splits and grammar-parses the topic, then
-  /// matches + sends inline.
-  void route(Message m, transport::NodeId arrived_from);
-  /// Owning-message routing over a topic split and grammar-parsed once by
-  /// the caller (broker-originated and deferred-release messages).
-  /// Dispatches to the worker pool when one is configured.
-  void route(Message m, transport::NodeId arrived_from, TopicPath path,
-             std::optional<ConstrainedTopic> ct);
-  /// View hot path: routes the inbound frame without materializing unless
-  /// a consumer needs an owning Message (worker-pool job, local service).
+  /// A publish the broker built itself: the owning message, which local
+  /// services take as is, and its one encoded buffer, which every
+  /// destination shares.
+  struct Encoded {
+    const Message& message;
+    transport::SharedPayload wire;
+  };
+
+  /// Routes a publish frame: matches it, then sends it. `encoded` is set
+  /// when `f` views a buffer the broker encoded (see Encoded); otherwise
+  /// `f` is the inbound frame and its wire bytes are re-sent.
   void route(const FrameView& f, transport::NodeId arrived_from,
-             TopicPath path, std::optional<ConstrainedTopic> ct);
-  /// Match stage; const and snapshot-only — thread-safe by construction.
-  /// `from_neighbour` (decided in the node context) hides local-only
-  /// services from frames a neighbour broker forwarded.
+             const TopicPath& path,
+             const std::optional<ConstrainedTopic>& ct,
+             const Encoded* encoded = nullptr);
+  /// Match stage. `from_neighbour` hides local-only services from frames
+  /// a neighbour broker forwarded.
   [[nodiscard]] MatchPlan compute_match(
       const TopicPath& path, const std::optional<ConstrainedTopic>& ct,
       bool from_neighbour) const;
-  /// Send stage (owning path); node context only. Serializes the publish
-  /// frame once and shares the buffer across every destination.
-  void execute_send(const Message& m, transport::NodeId arrived_from,
-                    const MatchPlan& plan);
-  /// Send stage (view path): forwards the original wire bytes; the only
-  /// materialization is one owning copy when a local service matched.
+  /// Send stage: invokes matched local services (materializing one owning
+  /// copy of an inbound frame for them), then sends one shared buffer to
+  /// every destination.
   void execute_send(const FrameView& f, transport::NodeId arrived_from,
-                    const MatchPlan& plan);
+                    const MatchPlan& plan, const Encoded* encoded);
 
   /// Interest propagation to neighbour brokers (split horizon: `except`
   /// is skipped; pass kInvalidNode to address all neighbours). With
@@ -490,10 +421,8 @@ class Broker {
   SubscriptionTable local_subs_;   // clients attached here
   SubscriptionTable remote_subs_;  // neighbour brokers' interest
   /// Immutable snapshot of the local-service index; republished on
-  /// subscribe_local/unsubscribe_local (RCU like the subscription tables,
-  /// and for the same reason: the match stage may read it from a worker
-  /// thread, and handlers may add or remove services while a send stage
-  /// iterates it).
+  /// subscribe_local/unsubscribe_local, so handlers may add or remove
+  /// services while a send stage iterates the snapshot it matched.
   AtomicSharedPtr<const ServiceIndex> local_services_;
   LocalServiceId last_service_id_ = 0;
   MessageFilter filter_;
@@ -507,7 +436,6 @@ class Broker {
   std::string misbehaviour_dir_;
   BrokerCounters counters_;
   std::uint64_t sequence_ = 0;
-  std::unique_ptr<MatchPool> match_pool_;  // null when match_threads == 0
 };
 
 }  // namespace et::pubsub

@@ -15,8 +15,8 @@
 // receive arena, i.e. the duration of a packet handler call). Brokers
 // route over views — a pure-forward hop re-sends the original wire bytes
 // and never materializes an owning Message; only the paths that must
-// mutate, re-sign, or defer a message (VerifyPipeline parking, payload
-// decryption) pay for `materialize()`.
+// keep, mutate or re-sign a message (local-service delivery, topic
+// rewrites, payload decryption) pay for `materialize()`.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +81,7 @@ struct MessageView {
   [[nodiscard]] Bytes signable_bytes() const;
 
   /// Deep-copies into an owning Message. The escape hatch for paths that
-  /// outlive the wire buffer: deferred verification, mutation, re-sign.
+  /// outlive the wire buffer: local services, mutation, re-sign.
   [[nodiscard]] Message materialize() const;
 
   static MessageView decode(Reader& r);

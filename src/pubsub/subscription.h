@@ -23,11 +23,9 @@
 //     mutex, copy only the affected shard(s), and publish a new snapshot.
 //     Shards are shared between snapshots via shared_ptr, so a write
 //     copies one shard, not the table.
-// Readers therefore observe a coherent table as of some recent write;
-// brokers running the match stage on worker threads (Broker::Options::
-// match_threads) rely on exactly this. Results are deterministic
-// (sorted) regardless of shard hashing, keeping VirtualTimeNetwork runs
-// bit-for-bit reproducible.
+// Readers therefore observe a coherent table as of some recent write,
+// from any thread. Results are deterministic (sorted) regardless of shard
+// hashing, keeping VirtualTimeNetwork runs bit-for-bit reproducible.
 #pragma once
 
 #include <array>

@@ -119,9 +119,8 @@ struct TracingConfig {
   /// 1:1 passthrough.
   Duration timer_wheel_tick = 0;
 
-  /// Per-hop verification knobs: the token-verdict cache plus the batched
-  /// verification pipeline that drains each broker's trace backlog in
-  /// key-grouped passes (DESIGN.md §10).
+  /// Per-hop verification knobs: the token-verdict cache every broker's
+  /// trace filter verifies through (DESIGN.md §8).
   struct Verification {
     /// Token-verification cache capacity (distinct tokens). The paper
     /// notes brokers may "keep track of previously computed verifications"
@@ -134,22 +133,6 @@ struct TracingConfig {
     /// verified could still be honoured; token windows themselves are
     /// re-checked on every hit.
     Duration cache_ttl = 60 * kSecond;
-    /// Worker threads for the pipeline's drain stage. Honoured only on
-    /// backends reporting concurrent_dispatch() (RealTimeNetwork); on
-    /// VirtualTimeNetwork the queue drains inline in the broker's node
-    /// context at the same virtual timestamp, so simulations stay
-    /// bit-for-bit deterministic. 0 = drain in the node context.
-    int threads = 0;
-    /// Most messages one drain pass takes off the queue; on concurrent
-    /// backends reaching this backlog triggers an immediate drain.
-    std::size_t batch_max = 64;
-    /// Accumulation window on concurrent backends. 0 (default) drains as
-    /// soon as the stage is idle — sparse traffic pays no added wait, and
-    /// bursts still batch because messages arriving while a drain is busy
-    /// queue up for the next pass (group-commit style). A positive value
-    /// deliberately holds the queue up to this long to build deeper
-    /// batches; it bounds the extra latency a queued trace can see.
-    Duration batch_delay = 0;
   };
   Verification verification;
 };

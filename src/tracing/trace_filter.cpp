@@ -114,8 +114,8 @@ pubsub::MessageFilter make_trace_filter(
 
   return [verify = std::move(verify), counters = std::move(counters)](
              pubsub::Broker&, const pubsub::MessageView& m,
-             transport::NodeId) -> pubsub::FilterVerdict {
-    const std::optional<Status> verdict = verify(m);
+             transport::NodeId) -> Status {
+    std::optional<Status> verdict = verify(m);
     if (counters) {
       if (!verdict) {
         counters->passthrough.inc();
@@ -124,10 +124,7 @@ pubsub::MessageFilter make_trace_filter(
         (verdict->is_ok() ? counters->accepted : counters->rejected).inc();
       }
     }
-    if (verdict && !verdict->is_ok()) {
-      return pubsub::FilterVerdict::reject(*verdict);
-    }
-    return pubsub::FilterVerdict::accept();
+    return verdict ? std::move(*verdict) : Status::ok();
   };
 }
 
@@ -142,40 +139,8 @@ TraceFilterHandle install_trace_filter(pubsub::Broker::Options& options,
                                                verification.cache_ttl);
   }
   auto counters = std::make_shared<internal::FilterCounters>();
-  auto pipeline = std::make_shared<VerifyPipeline>(
-      anchors, backend, cache, verification,
-      [counters](bool accepted) {
-        (accepted ? counters->accepted : counters->rejected).inc();
-      });
-
-  // The filter does only the cheap gates inline; everything that costs an
-  // RSA operation is deferred into the pipeline and resolved through the
-  // broker's deferred-verdict hooks.
-  options.message_filter =
-      [counters, pipeline](pubsub::Broker& self, const pubsub::MessageView& m,
-                           transport::NodeId from) -> pubsub::FilterVerdict {
-    const auto ct = trace_publication(m.topic);
-    if (!ct) {
-      counters->passthrough.inc();
-      return pubsub::FilterVerdict::accept();
-    }
-    counters->checked.inc();
-    if (m.auth_token.empty()) {
-      counters->rejected.inc();
-      return pubsub::FilterVerdict::reject(
-          unauthenticated("trace message without authorization token"));
-    }
-    // The first suffix segment is the trace-topic UUID the token must
-    // authorize; an empty suffix list can never match one, and the batch
-    // stage rejects it with the same status the inline filter uses.
-    std::string expected =
-        ct->suffixes.empty() ? std::string() : ct->suffixes.front();
-    // The pipeline parks the message past this packet-handler call, so it
-    // gets an owning copy — the one materialization on the deferred path.
-    pipeline->admit(self, m.materialize(), std::move(expected), from);
-    return pubsub::FilterVerdict::defer();
-  };
-  return {std::move(cache), std::move(counters), std::move(pipeline)};
+  options.message_filter = make_trace_filter(anchors, backend, cache, counters);
+  return {std::move(cache), std::move(counters)};
 }
 
 }  // namespace et::tracing

@@ -17,28 +17,27 @@
 //   auto handle = install_trace_filter(opts, anchors, net, config);
 //   pubsub::Broker broker(net, std::move(opts));
 //
-// The installed filter is the *batched pipeline*: it performs only the
-// cheap gates inline (topic grammar, token presence), defers the message
-// into a VerifyPipeline and resolves it through the broker's
-// deferred-verdict hooks — see verify_pipeline.h for the batching,
-// ordering and determinism rules. The returned TraceFilterHandle is the
-// one place to observe the broker's per-hop verification: filter verdict
-// counters, the token cache and its hit rates, and the pipeline's
-// batch-stage counters.
+// The installed filter verifies every trace publication inline, inside
+// the broker's packet handler, through a per-broker token cache: the
+// token chain runs once per distinct token (the paper's "keep track of
+// previously computed verifications", §4.3), and each message then pays
+// the per-message checks and one delegate-signature verify. An accepted
+// trace is routed on as the received wire bytes. The returned
+// TraceFilterHandle is the one place to observe the broker's per-hop
+// verification: filter verdict counters, and the token cache and its hit
+// rates.
 //
-// make_trace_filter() still builds the *inline* reference filter — every
-// message fully verified on the spot, no deferral — which benches compare
-// the pipeline against and tests use to exercise verification without a
-// running overlay.
+// make_trace_filter() builds the same filter without installing it, for
+// tests and benches that drive verification without a running overlay.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "src/common/stats.h"
 #include "src/pubsub/broker.h"
 #include "src/tracing/config.h"
 #include "src/tracing/token_verify_cache.h"
-#include "src/tracing/verify_pipeline.h"
 
 namespace et::tracing {
 
@@ -48,6 +47,14 @@ struct TraceFilterStats {
   std::uint64_t checked = 0;      // trace publications inspected
   std::uint64_t accepted = 0;     // full verification (or cache) passed
   std::uint64_t rejected = 0;     // discarded as unauthorized/invalid
+};
+
+/// Batch counters of the retired verification pipeline. Always zero; kept
+/// because tracebench still reports two metrics from them.
+struct VerifyPipelineStats {
+  std::uint64_t drains = 0;
+  std::uint64_t batched = 0;
+  std::uint64_t keys_deduped = 0;
 };
 
 namespace internal {
@@ -67,18 +74,14 @@ struct FilterCounters {
 
 /// Handle returned by install_trace_filter: one place to observe a
 /// broker's per-hop verification (filter verdict counters + the token
-/// cache and its hit rates + the verification pipeline's batch counters).
-/// Copyable; default-constructed handles read as empty. The cache pointer
-/// is nullptr when the config disables caching.
+/// cache and its hit rates). Copyable; default-constructed handles read as
+/// empty. The cache pointer is nullptr when the config disables caching.
 class TraceFilterHandle {
  public:
   TraceFilterHandle() = default;
   TraceFilterHandle(std::shared_ptr<TokenVerifyCache> cache,
-                    std::shared_ptr<internal::FilterCounters> counters,
-                    std::shared_ptr<VerifyPipeline> pipeline = nullptr)
-      : cache_(std::move(cache)),
-        counters_(std::move(counters)),
-        pipeline_(std::move(pipeline)) {}
+                    std::shared_ptr<internal::FilterCounters> counters)
+      : cache_(std::move(cache)), counters_(std::move(counters)) {}
 
   /// The broker's token-verification cache (nullptr when disabled).
   [[nodiscard]] const std::shared_ptr<TokenVerifyCache>& cache() const {
@@ -91,25 +94,13 @@ class TraceFilterHandle {
     return cache_ ? cache_->stats() : TokenCacheStats{};
   }
 
-  /// Filter verdict counters; safe from any thread. For messages the
-  /// pipeline defers, accepted/rejected tick when the verdict is applied,
-  /// not at admission — quiesce (pipeline()->idle()) before asserting
-  /// exact totals.
+  /// Filter verdict counters; safe from any thread.
   [[nodiscard]] TraceFilterStats stats() const {
     return counters_ ? counters_->snapshot() : TraceFilterStats{};
   }
 
-  /// Batch-stage counters; zeros when this handle observes an inline
-  /// filter. Safe from any thread.
-  [[nodiscard]] VerifyPipelineStats pipeline_stats() const {
-    return pipeline_ ? pipeline_->stats() : VerifyPipelineStats{};
-  }
-
-  /// The verification pipeline (nullptr for inline filters) — tests poll
-  /// pipeline()->idle() to synchronize with deferred verdicts.
-  [[nodiscard]] const std::shared_ptr<VerifyPipeline>& pipeline() const {
-    return pipeline_;
-  }
+  /// Always zeros; kept only because tracebench still reads it.
+  [[nodiscard]] VerifyPipelineStats pipeline_stats() const { return {}; }
 
   /// True when this handle observes an installed filter.
   [[nodiscard]] explicit operator bool() const { return counters_ != nullptr; }
@@ -117,7 +108,6 @@ class TraceFilterHandle {
  private:
   std::shared_ptr<TokenVerifyCache> cache_;
   std::shared_ptr<internal::FilterCounters> counters_;
-  std::shared_ptr<VerifyPipeline> pipeline_;
 };
 
 /// Builds the uncached inline (reference) filter; `backend` supplies the
@@ -135,10 +125,9 @@ pubsub::MessageFilter make_trace_filter(
     std::shared_ptr<TokenVerifyCache> cache,
     std::shared_ptr<internal::FilterCounters> counters = nullptr);
 
-/// Fills `options.message_filter` with the pipeline-backed trace filter
-/// for a broker about to be constructed on `backend`, sized per
-/// `config.verification` (cache capacity/TTL + batch knobs). Returns the
-/// stats handle.
+/// Fills `options.message_filter` with the cached inline trace filter for
+/// a broker about to be constructed on `backend`, its cache sized per
+/// `config.verification`. Returns the stats handle.
 TraceFilterHandle install_trace_filter(pubsub::Broker::Options& options,
                                        const TrustAnchors& anchors,
                                        transport::NetworkBackend& backend,

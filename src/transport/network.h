@@ -113,12 +113,9 @@ class NetworkBackend {
   [[nodiscard]] virtual TimePoint now() const = 0;
 
   /// True when this backend runs node contexts on real threads and its
-  /// `send`/`post`/`schedule` entry points are safe from any thread —
-  /// i.e. callers may stand up their own worker threads and post results
-  /// back into a node's context. Brokers consult this before enabling
-  /// their match worker pool (Broker::Options::match_threads); the
-  /// single-threaded VirtualTimeNetwork reports false so deterministic
-  /// simulations can never be perturbed by caller-side threading.
+  /// `send`/`post`/`schedule` entry points are safe from any thread.
+  /// Nothing in src/ asks any more; kept because tracebench's SpanTracer
+  /// overrides it.
   [[nodiscard]] virtual bool concurrent_dispatch() const { return false; }
 
   /// True when the two nodes are directly linked.

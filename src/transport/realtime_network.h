@@ -43,8 +43,7 @@ class RealTimeNetwork final : public NetworkBackend {
   TimerId schedule(NodeId node, Duration delay, Task task) override;
   void cancel(TimerId id) override;
   [[nodiscard]] TimePoint now() const override { return clock_.now(); }
-  /// All entry points here are thread-safe; brokers may run match worker
-  /// pools on this backend.
+  /// All entry points here are thread-safe.
   [[nodiscard]] bool concurrent_dispatch() const override { return true; }
   [[nodiscard]] bool linked(NodeId a, NodeId b) const override;
   [[nodiscard]] std::string node_name(NodeId id) const override;

@@ -19,8 +19,8 @@
 // from any thread (`concurrent_dispatch() == true`). Node handlers run on
 // the loop thread, which trivially serializes them — the actor contract —
 // at the cost that a handler that blocks stalls every node in this
-// process (handlers here parse-and-return; heavy work goes to worker
-// pools that `post` results back).
+// process (a broker's inline trace verification holds the loop for its
+// RSA verify).
 //
 // Link model parity: `link` takes the same LinkParams as the simulated
 // backends. Sends are held in a delayed-release queue for the sampled
@@ -93,7 +93,7 @@ class SocketNetwork final : public NetworkBackend {
   TimerId schedule(NodeId node, Duration delay, Task task) override;
   void cancel(TimerId id) override;
   [[nodiscard]] TimePoint now() const override { return clock_.now(); }
-  /// send/post/schedule are thread-safe; brokers may run match pools.
+  /// send/post/schedule are thread-safe.
   [[nodiscard]] bool concurrent_dispatch() const override { return true; }
   [[nodiscard]] bool linked(NodeId a, NodeId b) const override;
   [[nodiscard]] std::string node_name(NodeId id) const override;

@@ -35,8 +35,7 @@ class VirtualTimeNetwork final : public NetworkBackend {
   void cancel(TimerId id) override;
   [[nodiscard]] TimePoint now() const override { return clock_.now(); }
   /// Single-threaded simulation: callers must not thread; inherits the
-  /// base's `concurrent_dispatch() == false`, which brokers use to clamp
-  /// match_threads to 0 and keep runs bit-for-bit deterministic.
+  /// base's `concurrent_dispatch() == false`.
   [[nodiscard]] bool linked(NodeId a, NodeId b) const override;
   [[nodiscard]] std::string node_name(NodeId id) const override;
 

@@ -4,17 +4,15 @@
 //   * a blacklist entry earned before a partition is still enforced after
 //     the partition heals — misbehaviour is a property of the endpoint,
 //     not of the current connectivity;
-//   * deferred-verdict rejections (Broker::reject_deferred) issued while
-//     the overlay is partitioned still feed the misbehaviour accounting,
-//     so asynchronous verification keeps protecting a broker even when it
-//     is cut off from the rest of the overlay;
+//   * filter strikes against a neighbour broker accumulate across a
+//     partition, blacklist it once they cross the threshold, and the
+//     blacklist outlives the next partition and heal;
 //   * an entity that failed over re-registers under a fresh session and
 //     exactly one broker hosts it (covered from the tracing side by
 //     chaos_soak_test; here we pin the pub/sub substrate).
 #include <gtest/gtest.h>
 
 #include <utility>
-#include <vector>
 
 #include "src/pubsub/broker.h"
 #include "src/pubsub/client.h"
@@ -38,11 +36,9 @@ TEST(DegradationTest, BlacklistPersistsAcrossPartitionAndHeal) {
   o.name = "b0";
   o.misbehaviour_threshold = 3;
   o.message_filter = [](Broker&, const MessageView& m,
-                        transport::NodeId) -> FilterVerdict {
-    if (m.topic == "poison") {
-      return FilterVerdict::reject(unauthenticated("poisoned"));
-    }
-    return FilterVerdict::accept();
+                        transport::NodeId) -> Status {
+    if (m.topic == "poison") return unauthenticated("poisoned");
+    return Status::ok();
   };
   Broker& b0 = topo.add_broker(std::move(o));
   Broker& b1 = topo.add_broker({.name = "b1"});
@@ -82,23 +78,19 @@ TEST(DegradationTest, BlacklistPersistsAcrossPartitionAndHeal) {
   EXPECT_EQ(delivered, 1);
 }
 
-TEST(DegradationTest, RejectDeferredDuringPartitionFeedsMisbehaviour) {
+TEST(DegradationTest, FilterStrikesOnNeighbourSurvivePartitionAndHeal) {
   transport::VirtualTimeNetwork net(8);
   Topology topo(net);
   Broker& b0 = topo.add_broker({.name = "b0"});
 
-  // b1 defers everything on "suspicious" for asynchronous verification.
-  std::vector<std::pair<Message, transport::NodeId>> parked;
+  // b1's filter rejects every "suspicious" claim inline.
   Broker::Options o;
   o.name = "b1";
   o.misbehaviour_threshold = 2;
-  o.message_filter = [&parked](Broker&, const MessageView& m,
-                               transport::NodeId from) -> FilterVerdict {
-    if (m.topic == "suspicious") {
-      parked.emplace_back(m.materialize(), from);
-      return FilterVerdict::defer();
-    }
-    return FilterVerdict::accept();
+  o.message_filter = [](Broker&, const MessageView& m,
+                        transport::NodeId) -> Status {
+    if (m.topic == "suspicious") return unauthenticated("forged claim");
+    return Status::ok();
   };
   Broker& b1 = topo.add_broker(std::move(o));
   topo.connect_brokers(b0, b1, fast());
@@ -106,80 +98,41 @@ TEST(DegradationTest, RejectDeferredDuringPartitionFeedsMisbehaviour) {
   int delivered = 0;
   b1.subscribe_local("suspicious", [&](const Message&) { ++delivered; });
   net.run_for(10 * kMillisecond);  // interest propagates to b0
+  const auto claim = [&b0](const char* body) {
+    Message m;
+    m.topic = "suspicious";
+    m.payload = to_bytes(body);
+    b0.publish_from_broker(std::move(m));
+  };
 
-  Message m;
-  m.topic = "suspicious";
-  m.payload = to_bytes("claim-1");
-  b0.publish_from_broker(std::move(m));
-  m = Message{};
-  m.topic = "suspicious";
-  m.payload = to_bytes("claim-2");
-  b0.publish_from_broker(std::move(m));
+  // First strike: the neighbour stays connected, below the threshold.
+  claim("claim-1");
   net.run_until_idle();
-  ASSERT_EQ(parked.size(), 2u);
-  EXPECT_EQ(delivered, 0);  // verdicts still pending
+  EXPECT_EQ(b1.stats().discarded, 1u);
+  EXPECT_FALSE(b1.is_blacklisted(b0.node()));
 
-  // The overlay partitions while verification is in flight. The verdicts
-  // land anyway — rejections must strike the (now unreachable) upstream
-  // peer exactly as if it were still connected.
+  // A partition and heal in between does not reset the count: the
+  // second strike after the heal crosses the threshold of 2.
   topo.partition({{&b0}, {&b1}});
-  for (auto& [msg, from] : parked) {
-    const transport::NodeId peer = from;
-    net.post(b1.node(), [&b1, peer] {
-      b1.reject_deferred(peer, unauthenticated("forged claim"));
-    });
-  }
+  net.run_for(500 * kMillisecond);
+  topo.heal();
   net.run_until_idle();
-
+  claim("claim-2");
+  net.run_until_idle();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(b1.stats().discarded, 2u);
-  EXPECT_TRUE(b1.is_blacklisted(b0.node()));  // threshold of 2 crossed
-  EXPECT_GE(b1.stats().disconnects, 1u);
+  EXPECT_TRUE(b1.is_blacklisted(b0.node()));
+  EXPECT_EQ(b1.stats().disconnects, 1u);
 
-  // Healing the partition does not forgive the strikes.
+  // Partitioning and healing again does not forgive the blacklist.
+  topo.partition({{&b0}, {&b1}});
+  net.run_for(500 * kMillisecond);
   topo.heal();
   net.run_until_idle();
   EXPECT_TRUE(b1.is_blacklisted(b0.node()));
-}
-
-TEST(DegradationTest, ReleaseDeferredDuringPartitionStillRoutes) {
-  // The accept half of the deferred contract: a verdict released during
-  // the partition is queued into routing; local delivery works because
-  // the subscriber is on the broker itself.
-  transport::VirtualTimeNetwork net(9);
-  Topology topo(net);
-  Broker& b0 = topo.add_broker({.name = "b0"});
-  std::vector<std::pair<Message, transport::NodeId>> parked;
-  Broker::Options o;
-  o.name = "b1";
-  o.message_filter = [&parked](Broker&, const MessageView& m,
-                               transport::NodeId from) -> FilterVerdict {
-    parked.emplace_back(m.materialize(), from);
-    return FilterVerdict::defer();
-  };
-  Broker& b1 = topo.add_broker(std::move(o));
-  topo.connect_brokers(b0, b1, fast());
-
-  int delivered = 0;
-  b1.subscribe_local("slow-checked", [&](const Message&) { ++delivered; });
-  net.run_for(10 * kMillisecond);
-
-  Message m;
-  m.topic = "slow-checked";
-  m.payload = to_bytes("legit");
-  b0.publish_from_broker(std::move(m));
+  claim("claim-3");
   net.run_until_idle();
-  ASSERT_EQ(parked.size(), 1u);
-
-  topo.partition({{&b0}, {&b1}});
-  auto [msg, from] = std::move(parked.front());
-  const transport::NodeId peer = from;
-  net.post(b1.node(), [&b1, released = std::move(msg), peer]() mutable {
-    b1.release_deferred(std::move(released), peer);
-  });
-  net.run_until_idle();
-  EXPECT_EQ(delivered, 1);
-  EXPECT_FALSE(b1.is_blacklisted(b0.node()));
+  EXPECT_EQ(b1.stats().discarded, 2u);  // cut off: never reaches the filter
 }
 
 }  // namespace

@@ -102,6 +102,96 @@ TEST_F(BrokerFixture, RoutingAcrossChain) {
   EXPECT_GT(brokers[2]->stats().forwarded, 0u);
 }
 
+// --- copy accounting: which hops forward the wire bytes -------------------
+
+TEST_F(BrokerFixture, NonCanonicalTopicIsRewrittenOnceAtTheEntryBroker) {
+  auto brokers = topo.make_chain(2, fast());
+  Client pub(net, "p");
+  Client sub(net, "s");
+  pub.connect(brokers[0]->node(), fast());
+  sub.connect(brokers[1]->node(), fast());
+  std::vector<std::string> got;
+  sub.subscribe("a/b", [&](const Message& m) { got.push_back(m.topic); });
+  net.run_until_idle();
+
+  pub.publish("/a//b/", to_bytes("x"));
+  net.run_until_idle();
+  // Downstream sees the canonical spelling; the entry broker paid for the
+  // one owning rewrite, and the neighbour forwarded its bytes untouched.
+  EXPECT_EQ(got, (std::vector<std::string>{"a/b"}));
+  EXPECT_EQ(brokers[0]->stats().materialized, 1u);
+  EXPECT_EQ(brokers[0]->stats().forwarded, 1u);
+  EXPECT_EQ(brokers[1]->stats().materialized, 0u);
+  EXPECT_EQ(brokers[1]->stats().view_forwards, 1u);
+}
+
+TEST_F(BrokerFixture, RelayForwardsWireViewsAndMaterializesOnlyForServices) {
+  auto brokers = topo.make_chain(3, fast());
+  Client pub(net, "p");
+  Client sub(net, "s");
+  pub.connect(brokers[0]->node(), fast());
+  sub.connect(brokers[2]->node(), fast());
+  int got = 0;
+  sub.subscribe("relay/#", [&](const Message&) { ++got; });
+  net.run_until_idle();
+
+  for (int i = 0; i < 4; ++i) pub.publish("relay/x", to_bytes("v"));
+  net.run_until_idle();
+  EXPECT_EQ(got, 4);
+  const BrokerStats middle = brokers[1]->stats();
+  EXPECT_EQ(middle.forwarded, 4u);
+  EXPECT_EQ(middle.view_forwards, middle.forwarded);
+  EXPECT_EQ(middle.materialized, 0u);
+
+  // A local service matching at the relay costs one owning copy per
+  // message; forwarding still re-sends the wire bytes.
+  int served = 0;
+  brokers[1]->subscribe_local("relay/x", [&](const Message&) { ++served; });
+  net.run_until_idle();
+  for (int i = 0; i < 3; ++i) pub.publish("relay/x", to_bytes("v"));
+  net.run_until_idle();
+  EXPECT_EQ(served, 3);
+  EXPECT_EQ(got, 7);
+  EXPECT_EQ(brokers[1]->stats().materialized, 3u);
+  EXPECT_EQ(brokers[1]->stats().view_forwards,
+            brokers[1]->stats().forwarded);
+}
+
+TEST_F(BrokerFixture, BrokerPublishedMessageKeepsItsEnvelopeAcrossTwoHops) {
+  auto brokers = topo.make_chain(3, fast());
+  Client sub(net, "s");
+  sub.connect(brokers[2]->node(), fast());
+  std::vector<Message> got;
+  sub.subscribe("origin/topic", [&](const Message& m) { got.push_back(m); });
+  net.run_until_idle();
+
+  Message m;
+  m.topic = "origin/topic";
+  m.payload = to_bytes("body");
+  m.publisher = "someone-else";
+  m.sequence = 41;
+  m.timestamp = 12345;
+  m.auth_token = to_bytes("token-bytes");
+  m.signature = to_bytes("signature-bytes");
+  m.encrypted = true;
+  const Message sent = m;
+  brokers[0]->publish_from_broker(std::move(m));
+  net.run_until_idle();
+
+  ASSERT_EQ(got.size(), 1u);
+  const Message& r = got.front();
+  EXPECT_EQ(r.topic, sent.topic);
+  EXPECT_EQ(r.payload, sent.payload);
+  EXPECT_EQ(r.publisher, sent.publisher);
+  EXPECT_EQ(r.sequence, sent.sequence);
+  EXPECT_EQ(r.timestamp, sent.timestamp);
+  EXPECT_EQ(r.auth_token, sent.auth_token);
+  EXPECT_EQ(r.signature, sent.signature);
+  EXPECT_EQ(r.encrypted, sent.encrypted);
+  EXPECT_EQ(brokers[0]->stats().materialized, 0u);
+  EXPECT_EQ(brokers[1]->stats().view_forwards, 1u);
+}
+
 TEST_F(BrokerFixture, NoForwardingWithoutRemoteInterest) {
   auto brokers = topo.make_chain(3, fast());
   Client pub(net, "p");
@@ -239,10 +329,9 @@ TEST_F(BrokerFixture, MessageFilterDiscardsAndStrikes) {
   o.name = "b0";
   o.misbehaviour_threshold = 3;
   o.message_filter = [](Broker&, const MessageView& m,
-                        transport::NodeId) -> FilterVerdict {
-    if (m.topic == "poison")
-      return FilterVerdict::reject(unauthenticated("poisoned"));
-    return FilterVerdict::accept();
+                        transport::NodeId) -> Status {
+    if (m.topic == "poison") return unauthenticated("poisoned");
+    return Status::ok();
   };
   Broker& b = topo.add_broker(std::move(o));
   Client c(net, "c");
@@ -377,10 +466,9 @@ TEST_F(BrokerFixture, OptionsConstructionWiresFilterAndHandler) {
   o.name = "b0";
   o.misbehaviour_threshold = 2;
   o.message_filter = [](Broker&, const MessageView& m,
-                        transport::NodeId) -> FilterVerdict {
-    if (m.topic == "poison")
-      return FilterVerdict::reject(unauthenticated("poisoned"));
-    return FilterVerdict::accept();
+                        transport::NodeId) -> Status {
+    if (m.topic == "poison") return unauthenticated("poisoned");
+    return Status::ok();
   };
   Broker& b = topo.add_broker(std::move(o));
   EXPECT_EQ(b.name(), "b0");
@@ -395,38 +483,14 @@ TEST_F(BrokerFixture, OptionsConstructionWiresFilterAndHandler) {
   EXPECT_EQ(b.stats().discarded, 2u);
 }
 
-TEST_F(BrokerFixture, MatchThreadsClampedOnVirtualTimeBackend) {
-  // VirtualTimeNetwork reports concurrent_dispatch() == false, so the
-  // requested worker pool must be clamped away and routing stays inline
-  // and deterministic.
-  Broker::Options o;
-  o.name = "b0";
-  o.match_threads = 4;
-  Broker& b = topo.add_broker(std::move(o));
-  EXPECT_EQ(b.match_threads(), 0);
-
-  Client pub(net, "p");
-  Client sub(net, "s");
-  pub.connect(b.node(), fast());
-  sub.connect(b.node(), fast());
-  int got = 0;
-  sub.subscribe("t/#", [&](const Message&) { ++got; });
-  net.run_until_idle();
-  pub.publish("t/x", to_bytes("1"));
-  net.run_until_idle();
-  EXPECT_EQ(got, 1);
-}
-
-TEST_F(BrokerFixture, VirtualTimeRunsAreDeterministicWithMatchThreadsSet) {
-  // Same seed + same scenario must give an identical delivery transcript
-  // even when match_threads is requested (it is clamped on this backend).
+TEST_F(BrokerFixture, VirtualTimeRunsAreDeterministic) {
+  // Same seed + same scenario must give an identical delivery transcript.
   auto run_once = [] {
     std::vector<std::string> transcript;
     transport::VirtualTimeNetwork vnet(99);
     Topology vtopo(vnet);
     Broker::Options o;
     o.name = "d0";
-    o.match_threads = 4;
     Broker& b = vtopo.add_broker(std::move(o));
     Client pub(vnet, "p");
     Client sub(vnet, "s");

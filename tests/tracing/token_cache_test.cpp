@@ -70,12 +70,11 @@ struct CachedFilterFixture : ::testing::Test {
     return trace_message(t, ad);
   }
 
-  /// Drives a filter the way a broker would and folds the verdict back to
-  /// a Status (the inline filter never defers). The filter sees a view of
-  /// `m`, exactly as it would see a decoded wire frame.
+  /// Drives a filter the way a broker would: it sees a view of `m`,
+  /// exactly as it would see a decoded wire frame, and returns its
+  /// verdict (ok = accept).
   Status run(const pubsub::MessageFilter& f, pubsub::Message m) {
-    const pubsub::FilterVerdict v = f(broker, m.as_view(), 0);
-    return v.accepted() ? Status::ok() : v.status;
+    return f(broker, m.as_view(), 0);
   }
   Status run(pubsub::Message m) { return run(filter, std::move(m)); }
 

@@ -1,15 +1,12 @@
-// Deferred-verdict pipeline tests (verify_pipeline.h): the batched filter
-// must behave observably like the inline one. Forged traces admitted to
-// the queue are rejected, counted as misbehaviour of the sending peer and
-// never reorder deliveries — an earlier accepted trace on the same topic
-// always arrives first. Virtual-time runs stay deterministic; the
-// real-time variant drives a threaded drain pool and is the suite's TSan
-// target.
+// The installed trace filter on a live overlay (trace_filter.h): every
+// broker verifies each trace publication inline, through its token cache,
+// inside its packet handler. Forged traces are discarded and struck
+// against the sending peer until it is disconnected; accepted ones keep
+// their order and are forwarded as the original wire bytes. Virtual-time
+// runs stay deterministic; the real-time burst is the suite's TSan target.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <tuple>
@@ -17,10 +14,8 @@
 
 #include "src/pubsub/message.h"
 #include "src/pubsub/topology.h"
-#include "src/tracing/token_verify_cache.h"
 #include "src/tracing/trace_filter.h"
 #include "src/tracing/trace_message.h"
-#include "src/tracing/verify_pipeline.h"
 #include "src/transport/realtime_network.h"
 #include "src/transport/virtual_network.h"
 #include "tests/tracing/harness.h"
@@ -65,8 +60,8 @@ pubsub::Message make_trace(const discovery::TopicAdvertisement& ad,
   return m;
 }
 
-struct PipelineFixture : ::testing::Test {
-  PipelineFixture() : rng(91), ca("ca", rng, kBits), net(17) {
+struct OverlayFilterFixture : ::testing::Test {
+  OverlayFilterFixture() : rng(91), ca("ca", rng, kBits), net(17) {
     owner = crypto::Identity::create("owner-1", ca, rng, 0, 3600 * kSecond,
                                      kBits);
     tdn_keys = crypto::rsa_generate(rng, kBits);
@@ -107,7 +102,7 @@ struct PipelineFixture : ::testing::Test {
 
 // --- rejection + misbehaviour accounting -----------------------------------
 
-TEST_F(PipelineFixture, ForgedTraceRejectedAndCountedAsMisbehaviour) {
+TEST_F(OverlayFilterFixture, ForgedTraceStrikesThenNegativeHitBlacklistsPeer) {
   pubsub::Topology topo(net);
   pubsub::Broker& b0 = topo.add_broker({.name = "b0"});
   pubsub::Broker::Options o{.name = "b1", .misbehaviour_threshold = 2};
@@ -136,27 +131,24 @@ TEST_F(PipelineFixture, ForgedTraceRejectedAndCountedAsMisbehaviour) {
   EXPECT_EQ(fs.checked, 3u);
   EXPECT_EQ(fs.accepted, 2u);
   EXPECT_EQ(fs.rejected, 1u);
-  EXPECT_GE(b1.stats().discarded, 1u);
+  EXPECT_EQ(b1.stats().discarded, 1u);
   // One strike so far: below the threshold of 2, the peer stays connected.
   EXPECT_FALSE(b1.is_blacklisted(b0.node()));
+  EXPECT_EQ(handle.cache_stats().negative_hits, 0u);
 
-  // The second forgery (served from the negative cache) crosses the
+  // The second forgery is served from the negative cache, crosses the
   // threshold and the upstream peer is disconnected.
   b0.publish_from_broker(make_trace(ad, forged, bad_key, 4, net.now()));
   net.run_for(10 * kMillisecond);
+  EXPECT_EQ(handle.cache_stats().negative_hits, 1u);
   EXPECT_TRUE(b1.is_blacklisted(b0.node()));
-  EXPECT_GE(b1.stats().disconnects, 1u);
-
-  const VerifyPipelineStats ps = handle.pipeline_stats();
-  EXPECT_EQ(ps.queued, 4u);
-  EXPECT_EQ(ps.batched, 4u);
-  EXPECT_GE(ps.drains, 1u);
-  EXPECT_TRUE(handle.pipeline()->idle());
+  EXPECT_EQ(b1.stats().disconnects, 1u);
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{1, 3}));
 }
 
 // --- ordering ---------------------------------------------------------------
 
-TEST_F(PipelineFixture, ForgedTraceNeverReordersEarlierAcceptedTrace) {
+TEST_F(OverlayFilterFixture, ForgedTracesAmongKeysNeverReorderAcceptedOnes) {
   pubsub::Topology topo(net);
   pubsub::Broker& b0 = topo.add_broker({.name = "b0"});
   pubsub::Broker::Options o{.name = "b1"};
@@ -170,9 +162,7 @@ TEST_F(PipelineFixture, ForgedTraceNeverReordersEarlierAcceptedTrace) {
   });
   net.run_for(10 * kMillisecond);
 
-  // Two legitimate delegate keys and one forgery, interleaved on ONE
-  // topic: grouping by key must reorder verification work only, never
-  // delivery.
+  // Two legitimate delegate keys and one forgery, interleaved on ONE topic.
   const crypto::RsaKeyPair key_a = crypto::rsa_generate(rng, kBits);
   const crypto::RsaKeyPair key_b = crypto::rsa_generate(rng, kBits);
   const crypto::RsaKeyPair bad_key = crypto::rsa_generate(rng, kBits);
@@ -191,8 +181,7 @@ TEST_F(PipelineFixture, ForgedTraceNeverReordersEarlierAcceptedTrace) {
   }
   net.run_for(10 * kMillisecond);
 
-  // Every accepted trace arrives, in exactly its admission order; the
-  // rejected ones leave no gap-induced reordering behind.
+  // Every accepted trace arrives, in exactly its publication order.
   EXPECT_EQ(delivered, expected);
   const TraceFilterStats fs = handle.stats();
   EXPECT_EQ(fs.checked, 9u);
@@ -200,54 +189,45 @@ TEST_F(PipelineFixture, ForgedTraceNeverReordersEarlierAcceptedTrace) {
   EXPECT_EQ(fs.rejected, 3u);
 }
 
-// --- batching mechanics, driven directly ------------------------------------
+// --- forwarding -------------------------------------------------------------
 
-TEST_F(PipelineFixture, BatchedDrainGroupsByDelegateKeyFingerprint) {
-  pubsub::Broker host(net, {.name = "host"});
-  pubsub::Broker peer(net, {.name = "peer"});
-  auto cache = std::make_shared<TokenVerifyCache>(/*capacity=*/64,
-                                                  /*ttl=*/60 * kSecond);
-  std::atomic<int> ok{0};
-  std::atomic<int> bad{0};
-  VerifyPipeline pipe(anchors, net, cache, TracingConfig::Verification{},
-                      [&](bool accepted) { (accepted ? ok : bad)++; });
+TEST_F(OverlayFilterFixture, RelayForwardsAcceptedTraceAsView) {
+  pubsub::Topology topo(net);
+  std::vector<TraceFilterHandle> handles;
+  auto brokers = topo.make_chain(
+      3, transport::LinkParams::ideal_profile(), "b",
+      [&](const std::string& name) {
+        pubsub::Broker::Options o{.name = name};
+        handles.push_back(install_trace_filter(o, anchors, net));
+        return o;
+      });
+  std::vector<std::uint64_t> delivered;
+  brokers[2]->subscribe_local(topic(), [&](const pubsub::Message& m) {
+    delivered.push_back(m.sequence);
+  });
+  net.run_for(10 * kMillisecond);
 
-  const crypto::RsaKeyPair key_a = crypto::rsa_generate(rng, kBits);
-  const crypto::RsaKeyPair key_b = crypto::rsa_generate(rng, kBits);
-  const AuthorizationToken tok_a = make_token(key_a, owner.keys.private_key);
-  const AuthorizationToken tok_b = make_token(key_b, owner.keys.private_key);
-  const std::string expected_topic = ad.topic().to_string();
-
-  // Six admissions before the virtual clock runs: the drain posted by the
-  // first admission takes the whole backlog in one pass and resolves each
-  // key's chain once.
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    const bool use_a = (i % 2) == 0;
-    pipe.admit(host,
-               make_trace(ad, use_a ? tok_a : tok_b, use_a ? key_a : key_b,
-                          i + 1, net.now()),
-               expected_topic, peer.node());
+  const crypto::RsaKeyPair key = crypto::rsa_generate(rng, kBits);
+  const AuthorizationToken tok = make_token(key, owner.keys.private_key);
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+    brokers[0]->publish_from_broker(make_trace(ad, tok, key, seq, net.now()));
   }
-  net.run_for(1 * kMillisecond);
+  net.run_for(10 * kMillisecond);
 
-  EXPECT_TRUE(pipe.idle());
-  EXPECT_EQ(ok.load(), 6);
-  EXPECT_EQ(bad.load(), 0);
-  const VerifyPipelineStats s = pipe.stats();
-  EXPECT_EQ(s.queued, 6u);
-  EXPECT_EQ(s.drains, 1u);
-  EXPECT_EQ(s.batched, 6u);
-  EXPECT_EQ(s.keys_deduped, 4u);  // 6 messages, 2 distinct key groups
-  EXPECT_EQ(s.max_drain_depth, 6u);
-  EXPECT_EQ(cache->stats().misses, 2u);
-  EXPECT_EQ(cache->stats().insertions, 2u);
-  // Released messages entered the host's routing stage.
-  EXPECT_EQ(host.stats().published, 6u);
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(handles[1].stats().accepted, 4u);
+  EXPECT_EQ(handles[2].stats().accepted, 4u);
+  // The relay verified each trace and re-sent its wire bytes: no owning
+  // copy, no re-encode.
+  const pubsub::BrokerStats relay = brokers[1]->stats();
+  EXPECT_EQ(relay.forwarded, 4u);
+  EXPECT_EQ(relay.view_forwards, relay.forwarded);
+  EXPECT_EQ(relay.materialized, 0u);
 }
 
 // --- determinism ------------------------------------------------------------
 
-TEST(VerifyPipelineDeterminismTest, VirtualTimeRunsAreRepeatable) {
+TEST(OverlayFilterDeterminismTest, VirtualTimeRunsAreRepeatable) {
   using Transcript = std::vector<std::tuple<std::uint64_t, TimePoint, int>>;
   auto run_once = []() {
     Transcript transcript;
@@ -263,24 +243,24 @@ TEST(VerifyPipelineDeterminismTest, VirtualTimeRunsAreRepeatable) {
                         })
                     .is_ok());
     h.net.run_for(2 * kSecond);
-    const VerifyPipelineStats ps = h.filters[1].pipeline_stats();
     const TraceFilterStats fs = h.filters[1].stats();
-    return std::make_tuple(transcript, ps.queued, ps.drains, ps.batched,
-                           fs.accepted);
+    const TokenCacheStats cs = h.filters[1].cache_stats();
+    return std::make_tuple(transcript, fs.checked, fs.accepted, cs.hits,
+                           cs.misses);
   };
 
   const auto a = run_once();
   const auto b = run_once();
   EXPECT_FALSE(std::get<0>(a).empty());
   EXPECT_GT(std::get<1>(a), 0u);
-  // Identical seeds -> identical trace transcripts AND identical pipeline
-  // batching decisions (queue depths, drain passes) on the virtual clock.
+  // Identical seeds -> identical trace transcripts AND identical filter
+  // and cache decisions on the virtual clock.
   EXPECT_EQ(a, b);
 }
 
-// --- real-time / threaded drain (TSan target) -------------------------------
+// --- real-time burst (TSan target) ------------------------------------------
 
-TEST(VerifyPipelineRealTimeTest, ThreadedBurstKeepsOrderAndCountsForgeries) {
+TEST(OverlayFilterRealTimeTest, BurstKeepsOrderAndCountsForgeries) {
   transport::RealTimeNetwork net;
   Rng rng(131);
   const TimePoint t0 = net.now();  // steady-clock epoch, NOT zero
@@ -294,13 +274,10 @@ TEST(VerifyPipelineRealTimeTest, ThreadedBurstKeepsOrderAndCountsForgeries) {
 
   pubsub::Topology topo(net);
   pubsub::Broker& b0 = topo.add_broker({.name = "rt-b0"});
-  TracingConfig cfg;
-  cfg.verification.threads = 2;
-  cfg.verification.batch_max = 16;
   // Strikes are the assertion here, not disconnection: keep the peer
   // connected through all 18 forgeries so later messages still flow.
   pubsub::Broker::Options o{.name = "rt-b1", .misbehaviour_threshold = 1000};
-  TraceFilterHandle handle = install_trace_filter(o, anchors, net, cfg);
+  TraceFilterHandle handle = install_trace_filter(o, anchors, net);
   pubsub::Broker& b1 = topo.add_broker(std::move(o));
   transport::LinkParams link = transport::LinkParams::ideal_profile();
   link.base_latency = 200;  // 0.2 ms
@@ -317,7 +294,7 @@ TEST(VerifyPipelineRealTimeTest, ThreadedBurstKeepsOrderAndCountsForgeries) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   // Burst: three legitimate delegate keys plus a forgery, round-robin on
-  // one topic — enough backlog for multi-message, multi-group batches.
+  // one topic, posted from the test thread while b1 verifies.
   constexpr std::uint64_t kTotal = 72;
   std::vector<crypto::RsaKeyPair> keys;
   std::vector<AuthorizationToken> tokens;
@@ -352,8 +329,9 @@ TEST(VerifyPipelineRealTimeTest, ThreadedBurstKeepsOrderAndCountsForgeries) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   auto settled = [&]() {
-    if (handle.stats().checked < kTotal) return false;
-    if (!handle.pipeline()->idle()) return false;
+    const TraceFilterStats fs = handle.stats();
+    if (fs.accepted + fs.rejected < kTotal) return false;
+    if (b1.stats().discarded < kForged) return false;
     const std::lock_guard<std::mutex> l(mu);
     return delivered.size() >= kGood;
   };
@@ -361,11 +339,10 @@ TEST(VerifyPipelineRealTimeTest, ThreadedBurstKeepsOrderAndCountsForgeries) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  EXPECT_EQ(handle.pipeline()->verify_threads(), 2);
   {
     const std::lock_guard<std::mutex> l(mu);
-    // FIFO link + FIFO queue + in-order apply: the accepted traces arrive
-    // in exactly their admission order even with a threaded drain stage.
+    // FIFO link + inline verification: the accepted traces arrive in
+    // exactly their publication order.
     EXPECT_EQ(delivered, expected_good);
   }
   const TraceFilterStats fs = handle.stats();
@@ -373,10 +350,6 @@ TEST(VerifyPipelineRealTimeTest, ThreadedBurstKeepsOrderAndCountsForgeries) {
   EXPECT_EQ(fs.accepted, kGood);
   EXPECT_EQ(fs.rejected, kForged);
   EXPECT_EQ(b1.stats().discarded, kForged);
-  const VerifyPipelineStats ps = handle.pipeline_stats();
-  EXPECT_EQ(ps.queued, kTotal);
-  EXPECT_EQ(ps.batched, kTotal);
-  EXPECT_GE(ps.drains, 1u);
   net.stop();
 }
 
