@@ -21,6 +21,9 @@
 #             trackers and the ledger audit index rosters by bit position)
 #             and the trace-filter suites (the inline filter parses every
 #             inbound token from the wire and reads token-cache entries)
+#             and the trace-batch suites (the tracker takes a batch's entry
+#             count from the wire; the end-of-pass flush task captures the
+#             emitter)
 #   tsan    — ET_SANITIZE=thread build running the concurrency-sensitive
 #             suites, including the socket backend, the RealTimeNetwork
 #             chaos scenario and overlay-repair smokes, and the
@@ -103,12 +106,15 @@ run_asan() {
   # The filter suites run the inline trace filter, which deserializes
   # every inbound trace token from the wire bytes and dereferences token
   # LRU entry pointers on the hot path.
+  # The batch suites: the tracker takes the entry count from the wire, and
+  # the end-of-pass flush task captures the emitter.
   local filter='FrameAssembler|FrameCodec|Robustness|Persist|BigInt|Rsa|Aes'
   filter="$filter|Sha1"
   filter="$filter|Corruption|EntityHostTest|EndToEndTest|LifecycleTest"
   filter="$filter|SecurityTest|ChaosSoakTest"
   filter="$filter|TraceDigest|DigestChaos|DurabilityChaos.Audit"
   filter="$filter|FilterFixture|CachedFilterFixture"
+  filter="$filter|TraceBatch"
   ctest --test-dir build-asan --output-on-failure --timeout 300 -R "$filter"
 }
 

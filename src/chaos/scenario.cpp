@@ -11,6 +11,7 @@
 
 #include "src/common/serialize.h"
 #include "src/tracing/trace_digest.h"
+#include "src/tracing/trace_message.h"
 #include "src/transport/fault_injector.h"
 
 namespace et::chaos {
@@ -269,9 +270,12 @@ std::vector<std::string> ScenarioDeployment::audit_ledgers(
   // spread across several brokers' ledgers), keyed by (type, issued_at).
   // A digest record vouches for an ALLS_WELL at its stamp for every member
   // whose bit it sets, named by the roster that a record earlier in the
-  // same chain carried for the digest's epoch (DESIGN.md §14).
+  // same chain carried for the digest's epoch; a batch record vouches for
+  // each trace it carries (DESIGN.md §14).
   constexpr auto kDigest =
       static_cast<std::uint8_t>(tracing::TraceType::kDigest);
+  constexpr auto kBatch =
+      static_cast<std::uint8_t>(tracing::TraceType::kBatch);
   constexpr auto kAllsWell =
       static_cast<std::uint8_t>(tracing::TraceType::kAllsWell);
   std::map<std::string, std::set<std::pair<std::uint8_t, TimePoint>>> ledgered;
@@ -280,6 +284,19 @@ std::vector<std::string> ScenarioDeployment::audit_ledgers(
       std::map<std::uint64_t, std::vector<std::string>> rosters;  // by epoch
       for (const persist::LedgerRecord& r : ledgers_[i]->records(topic)) {
         ledgered[r.entity_id].insert({r.trace_type, r.issued_at});
+        if (r.trace_type == kBatch) {
+          try {
+            for (const tracing::TracePayload& p :
+                 tracing::decode_trace_batch(r.payload)) {
+              ledgered[p.entity_id].insert(
+                  {static_cast<std::uint8_t>(p.type), p.issued_at});
+            }
+          } catch (const SerializeError&) {
+            out.push_back("undecodable batch payload in ledger topic " +
+                          topic);
+          }
+          continue;
+        }
         if (r.trace_type != kDigest) continue;
         tracing::TraceDigest d;
         try {

@@ -144,16 +144,16 @@ class Broker {
     /// Strikes before an endpoint is disconnected (paper §5.2).
     int misbehaviour_threshold = 5;
     /// Inbound filter (tracing-token verification); may be empty.
-    MessageFilter message_filter;
+    MessageFilter message_filter{};
     /// Dead-client callback (fires once per vanished client); may be
     /// empty. Further listeners can be appended after construction with
     /// add_client_unreachable_listener.
-    ClientUnreachableHandler client_unreachable_handler;
+    ClientUnreachableHandler client_unreachable_handler{};
     /// Durable misbehaviour state directory (DESIGN.md §16): strike
     /// counters and the blacklist survive a restart-with-state when set,
     /// so a misbehaver cannot launder its record by waiting out a broker
     /// deploy. Empty = in-memory only, the historical behaviour.
-    std::string misbehaviour_persist_dir;
+    std::string misbehaviour_persist_dir{};
     persist::FsyncPolicy misbehaviour_fsync = persist::FsyncPolicy::kNever;
     /// Hierarchical interest aggregation (interest_summary.h). 0 keeps
     /// the legacy behaviour: every pattern re-announced verbatim at every

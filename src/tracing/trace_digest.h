@@ -17,8 +17,9 @@
 // back into a per-entity ALLS_WELL, so tracker-facing semantics are
 // unchanged; a digest whose epoch it holds no roster for is skipped, never
 // guessed at. Urgent traces (suspicions, failures, recoveries, state
-// transitions) never ride a digest; they are published per-entity
-// immediately, after any pending digest for the host is flushed so
+// transitions) never ride a digest; they are published at the end of the
+// current event-loop pass, batched with that session's other traces from
+// the same pass, after any pending digest for the host is flushed so
 // ordering is preserved.
 #pragma once
 

@@ -3,26 +3,40 @@
 // Every trace a hosting broker publishes goes through the same ritual:
 // stamp publisher/sequence/timestamp, attach the entity's authorization
 // token, sign with the delegate key (§4.3), optionally encrypt with the
-// trace key (§5.1), hand to the broker. That ritual used to be duplicated
-// across publish_trace, the gauge probe, and the per-entity heartbeat
-// path; `TraceEmitter` folds it into one place.
+// trace key (§5.1), hand to the broker. `TraceEmitter` owns that ritual
+// for per-entity traces, digests and gauge probes.
 //
-// `trace()` always publishes one per-entity message, after flushing the
-// host's pending digest so trackers never observe a suspicion or a
-// recovery before the heartbeats that preceded it. With
-// `Options::digest_interval > 0` the hosting broker hands plain
-// heartbeats to `fold()` instead: each ping response's heartbeats become
-// one liveness bitmap in the host's pending `TraceDigest` (DESIGN.md §14),
-// which flushes as one signed message per interval, or early once it
-// holds `digest_max_entries` observations. At flush the digest asks the
-// broker's roster source whether it owes trackers the roster. With
-// `digest_interval == 0` nothing is folded and every heartbeat travels
-// per-entity, byte-identical to the historical behaviour.
+// `trace()` does not sign inline. It appends the serialized payload to its
+// session's open batch, which is bound for one publication topic, and the
+// first batch opened in an event-loop pass posts one flush task to the
+// broker's node, so batches close after the work already queued there.
+// The flush publishes a batch of one as exactly the message a lone trace
+// always was; k > 1 traces become one `TraceType::kBatch` body
+// (trace_message.h) that is encrypted, signed and ledgered once, and that
+// trackers expand back into the k traces in order (DESIGN.md §14, "Trace
+// batches"). A batch is cut — published at once — when the session's next
+// trace is bound for another topic or the batch holds kTraceBatchMax
+// traces, and before the session's heartbeats fold, its gauge probe goes
+// out, its signing material changes or it is torn down (the last two are
+// the service's calls to cut()/flush()). So a session's publications keep
+// the order they were made in.
+//
+// Before a trace joins a batch, the host's pending digest is flushed, so
+// trackers never observe a suspicion or a recovery before the heartbeats
+// that preceded it. With `Options::digest_interval > 0` the hosting
+// broker hands plain heartbeats to `fold()` instead of `trace()`: each
+// ping response's heartbeats become one liveness bitmap in the host's
+// pending `TraceDigest` (DESIGN.md §14), which flushes as one signed
+// message per interval, or early once it holds `digest_max_entries`
+// observations. At flush the digest asks the broker's roster source
+// whether it owes trackers the roster. With `digest_interval == 0`
+// nothing is folded and every heartbeat travels as a trace.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,8 +66,8 @@ class TraceEmitter {
   };
 
   /// Borrowed signing material for one session; valid for the duration of
-  /// the call only (the emitter copies what it must keep for pending
-  /// digests).
+  /// the call only (the emitter copies what it must keep for open batches
+  /// and pending digests).
   struct Signing {
     std::string trace_topic;  // UUID string minted by the TDN
     const AuthorizationToken* token = nullptr;
@@ -78,7 +92,8 @@ class TraceEmitter {
       const std::string& host_id, std::uint64_t epoch)>;
 
   struct Stats {
-    std::uint64_t traces_published = 0;   // per-entity messages
+    std::uint64_t traces_published = 0;   // trace messages (batches count 1)
+    std::uint64_t trace_entries = 0;      // traces those messages carried
     std::uint64_t digests_published = 0;  // digest messages
     std::uint64_t digest_entries = 0;     // observations carried in digests
   };
@@ -100,53 +115,66 @@ class TraceEmitter {
     return options_.digest_interval > 0 && wheel_ != nullptr;
   }
 
-  /// Publishes one per-entity observation, after flushing `host_id`'s
-  /// pending digest (`host_id` is the traced host for batch sessions, the
-  /// entity itself otherwise). The payload's issued_at/secured fields are
-  /// stamped here.
+  /// Adds one per-entity observation to `host_id`'s open batch, after
+  /// flushing `host_id`'s pending digest (`host_id` is the traced host for
+  /// batch sessions, the entity itself otherwise). The payload's
+  /// issued_at/secured fields are stamped here; it is published by the
+  /// pass's flush task or by an earlier cut.
   void trace(const Signing& signing, const std::string& host_id,
              TracePayload payload);
 
-  /// Folds one ping response's heartbeats into `host_id`'s pending digest
-  /// as one bitmap (digests() only). A digest that reaches
-  /// digest_max_entries observations flushes at once and the rest of the
-  /// response opens the next one.
+  /// Cuts `host_id`'s open batch, then folds one ping response's
+  /// heartbeats into its pending digest as one bitmap (digests() only). A
+  /// digest that reaches digest_max_entries observations flushes at once
+  /// and the rest of the response opens the next one.
   void fold(const Signing& signing, const std::string& host_id,
             const Heartbeats& beats);
 
-  /// Publishes an already-serialized payload on an explicit topic with the
-  /// standard token + delegate signature, never encrypted or coalesced
-  /// (gauge probes ride the Interest topic in the clear, §5.1).
-  void publish_raw(const Signing& signing, std::string topic, Bytes payload);
+  /// Cuts `host_id`'s open batch, then publishes an already-serialized
+  /// payload on an explicit topic with the standard token + delegate
+  /// signature, never encrypted, batched or coalesced (gauge probes ride
+  /// the Interest topic in the clear, §5.1).
+  void publish_raw(const Signing& signing, const std::string& host_id,
+                   std::string topic, Bytes payload);
 
-  /// Publishes `host_id`'s pending digest now, if any.
+  /// Publishes `host_id`'s open batch now, if any. Called before the
+  /// session's token, delegate key or trace key changes: a batch is
+  /// signed with the material it opened under.
+  void cut(const std::string& host_id);
+
+  /// Publishes `host_id`'s open batch and pending digest now, if any (at
+  /// most one of them holds anything: fold() cuts the batch and trace()
+  /// flushes the digest).
   void flush(const std::string& host_id);
-  void flush_all();
 
-  [[nodiscard]] std::size_t pending_digests() const {
-    return pending_.size();
-  }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Attaches a tamper-evident ledger (DESIGN.md §16): every signed trace
-  /// and digest publication is appended to its publication topic's hash
-  /// chain — pre-encryption body plus the delegate signature — before the
-  /// message enters routing. Gauge probes (publish_raw) are not ledgered:
-  /// they are periodic cleartext measurements, not availability history.
-  /// Null detaches. The ledger must outlive the emitter.
+  /// Attaches a tamper-evident ledger (DESIGN.md §16): every signed trace,
+  /// batch and digest publication is appended to its publication topic's
+  /// hash chain — pre-encryption body plus the delegate signature — before
+  /// the message enters routing, one record per message. Gauge probes
+  /// (publish_raw) are not ledgered: they are periodic cleartext
+  /// measurements, not availability history. Null detaches. The ledger
+  /// must outlive the emitter.
   void set_ledger(persist::TraceLedger* ledger) { ledger_ = ledger; }
 
  private:
-  /// One host's accumulating digest plus owned copies of its signing
-  /// material (the session may be gone by flush time).
-  struct Pending {
-    TraceDigest digest;
-    std::size_t entries = 0;  // observations: set bits over all bitmaps
+  /// Owned copy of one session's signing material, for publications made
+  /// after the call that handed it in (the session may be gone by then).
+  struct OwnedSigning {
+    explicit OwnedSigning(const Signing& s);
     std::string trace_topic;
-    AuthorizationToken token;
+    Bytes auth_token;  // the token, serialized once
     crypto::RsaPrivateKey delegate_key;
     crypto::SecretKey trace_key;
     bool secure = false;
+  };
+
+  /// One host's accumulating digest.
+  struct Pending {
+    OwnedSigning signing;
+    TraceDigest digest;
+    std::size_t entries = 0;  // observations: set bits over all bitmaps
     TimerWheel::WheelId flush_timer = 0;
   };
 
@@ -158,14 +186,29 @@ class TraceEmitter {
     TimePoint issued_at = 0;
   };
 
+  /// One session's traces awaiting the end of the pass, all bound for
+  /// `topic`.
+  struct Batch {
+    OwnedSigning signing;
+    std::string topic;
+    std::vector<Bytes> traces;  // serialized payloads, in issue order
+    /// The lone trace's own ledger metadata; once k > 1, the host's BATCH
+    /// record stamped with the newest trace's issue time.
+    LedgerMeta meta;
+  };
+
   /// `host_id`'s pending digest, opened over `beats`' roster (with its
   /// flush timer) when there is none.
   Pending& pending_for(const Signing& signing, const std::string& host_id,
                        const Heartbeats& beats);
+  /// Publishes `host_id`'s pending digest now, if any.
+  void flush_digest(const std::string& host_id);
+  /// Posts the pass's flush task unless it is already queued.
+  void post_flush();
+  void publish_batch(Batch& b);
 
   void publish_signed(std::string topic, Bytes body, bool encrypt,
-                      const crypto::SecretKey& trace_key,
-                      const AuthorizationToken& token,
+                      const crypto::SecretKey& trace_key, Bytes auth_token,
                       const crypto::RsaPrivateKey& delegate_key,
                       const LedgerMeta* meta = nullptr);
 
@@ -176,6 +219,10 @@ class TraceEmitter {
   RosterSource roster_;
   std::uint64_t sequence_ = 0;
   std::map<std::string, Pending> pending_;
+  std::map<std::string, Batch> batches_;  // open batches by host id
+  bool flush_posted_ = false;
+  /// Expires with the emitter; the queued flush task checks it first.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
   Stats stats_;
   persist::TraceLedger* ledger_ = nullptr;
 };

@@ -67,6 +67,47 @@ TracePayload TracePayload::deserialize(BytesView b) {
   return out;
 }
 
+Bytes encode_trace_batch(const std::vector<Bytes>& traces) {
+  std::size_t size = 1 + 4;
+  for (const Bytes& t : traces) size += 4 + t.size();
+  Writer w;
+  w.reserve(size);
+  w.u8(static_cast<std::uint8_t>(TraceType::kBatch));
+  w.u32(static_cast<std::uint32_t>(traces.size()));
+  for (const Bytes& t : traces) w.bytes(t);
+  return std::move(w).take();
+}
+
+bool is_trace_batch(BytesView body) {
+  return !body.empty() &&
+         body[0] == static_cast<std::uint8_t>(TraceType::kBatch);
+}
+
+std::vector<TracePayload> decode_trace_batch(BytesView body) {
+  Reader r(body);
+  if (r.u8() != static_cast<std::uint8_t>(TraceType::kBatch)) {
+    throw SerializeError("not a trace batch");
+  }
+  const std::uint32_t count = r.u32();
+  if (count < 2 || count > kTraceBatchMax) {
+    throw SerializeError("trace batch count out of range");
+  }
+  // Every entry costs at least its 4-byte length prefix.
+  if (count > r.remaining() / 4) {
+    throw SerializeError("trace batch count exceeds the payload");
+  }
+  std::vector<TracePayload> out;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    // A nested batch fails here: kBatch is no payload type.
+    out.push_back(TracePayload::deserialize(r.bytes_view()));
+    if (out.back().type == TraceType::kGaugeInterest) {
+      throw SerializeError("GAUGE_INTEREST inside a trace batch");
+    }
+  }
+  r.expect_done();
+  return out;
+}
+
 Bytes SessionMessage::serialize() const {
   Writer w;
   w.u8(static_cast<std::uint8_t>(type));

@@ -6,11 +6,14 @@
 //   * `SessionMessage` — traced entity <-> hosting broker over the two
 //     session topics of §3.2 (pings, ping responses, state/load reports,
 //     delegation-token and trace-key delivery).
+// A trace message's body is one serialized `TracePayload`, or a batch of
+// them (`encode_trace_batch`, DESIGN.md §14 "Trace batches").
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/clock.h"
@@ -61,6 +64,27 @@ struct TracePayload {
   [[nodiscard]] Bytes serialize() const;
   static TracePayload deserialize(BytesView b);
 };
+
+/// Most traces one batch message carries; a longer pass publishes more
+/// than one batch.
+inline constexpr std::size_t kTraceBatchMax = 64;
+
+/// Body of a TraceType::kBatch message: one session's traces from one
+/// event-loop pass, all bound for one publication topic, in issue order.
+/// Layout: u8 kBatch, u32 count, then `count` length-prefixed serialized
+/// TracePayloads. A pass with one trace publishes that trace's own body
+/// instead, so a batch always holds 2..kTraceBatchMax traces.
+Bytes encode_trace_batch(const std::vector<Bytes>& traces);
+
+/// True when `body` is a batch body rather than one serialized
+/// TracePayload (whose first byte is a payload type, never kBatch).
+bool is_trace_batch(BytesView body);
+
+/// Decodes a batch body into its traces, in order. Throws SerializeError
+/// on a count outside 2..kTraceBatchMax or one the remaining bytes cannot
+/// hold, on any malformed entry, and on an entry that is itself a batch
+/// or a GAUGE_INTEREST probe (probes ride the Interest topic alone).
+std::vector<TracePayload> decode_trace_batch(BytesView body);
 
 /// Verbs on the entity<->broker session topics.
 enum class SessionMsgType : std::uint8_t {

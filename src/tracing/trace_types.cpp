@@ -20,6 +20,7 @@ std::string_view trace_type_name(TraceType t) {
     case TraceType::kLoadInformation: return "LOAD_INFORMATION";
     case TraceType::kNetworkMetrics: return "NETWORK_METRICS";
     case TraceType::kDigest: return "DIGEST";
+    case TraceType::kBatch: return "BATCH";
   }
   return "UNKNOWN";
 }
@@ -45,6 +46,7 @@ std::uint8_t category_of(TraceType t) {
     case TraceType::kNetworkMetrics:
       return kCatNetworkMetrics;
     case TraceType::kGaugeInterest:
+    case TraceType::kBatch:
       return 0;
   }
   return 0;

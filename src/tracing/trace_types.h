@@ -39,6 +39,9 @@ enum class TraceType : std::uint8_t {
   // trace carrying ALLS_WELL observations for every co-hosted entity,
   // expanded back to per-entity traces at the tracker edge.
   kDigest = 14,
+  // One session's traces from one event-loop pass under one signature
+  // (DESIGN.md §14, "Trace batches"); a message body, never a payload.
+  kBatch = 15,
 };
 
 /// Wire/diagnostic name ("FAILURE_SUSPICION", ...).
@@ -61,7 +64,8 @@ inline constexpr std::uint8_t kCatAll =
     kCatLoad | kCatNetworkMetrics;
 
 /// The category a trace type is published under (Table 2 row).
-/// kGaugeInterest maps to no category (it rides the Interest topic).
+/// kGaugeInterest maps to no category (it rides the Interest topic), and
+/// neither does kBatch (it rides its entries' category topic).
 std::uint8_t category_of(TraceType t);
 
 /// Topic suffix for a category ("ChangeNotifications", ...).

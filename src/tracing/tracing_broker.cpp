@@ -345,12 +345,17 @@ void TracingBrokerService::handle_session_message(const Uuid& session_id,
       handle_token_delivery(s, *sm);
       break;
     case SessionMsgType::kTraceKeyDelivery: {
+      crypto::SecretKey key;
       try {
-        s.trace_key = crypto::SecretKey::deserialize(sm->trace_key);
-        s.secure = true;
+        key = crypto::SecretKey::deserialize(sm->trace_key);
       } catch (const std::exception&) {
         ++stats_.rejected_session_messages;
+        break;
       }
+      // Traces batched so far go out under the key they were made under.
+      emitter_.cut(s.entity_id);
+      s.trace_key = std::move(key);
+      s.secure = true;
       break;
     }
     case SessionMsgType::kSilentMode: {
@@ -396,6 +401,8 @@ void TracingBrokerService::handle_token_delivery(Session& s,
     ++stats_.rejected_session_messages;
     return;
   }
+  // Traces batched so far go out under the token they were made under.
+  emitter_.cut(s.entity_id);
   s.token = std::move(token);
   s.delegate_key = std::move(delegate);
 
@@ -696,8 +703,8 @@ void TracingBrokerService::on_gauge_timer(const Uuid& session_id) {
   p.secured = s.secure;  // §5.1: flag that traces will be encrypted
   // The gauge probe itself rides the Interest topic unencrypted and, like
   // all broker-generated traces, carries the token (§5.1).
-  emitter_.publish_raw(signing(s), tt::gauge_interest(s.trace_topic),
-                       p.serialize());
+  emitter_.publish_raw(signing(s), s.entity_id,
+                       tt::gauge_interest(s.trace_topic), p.serialize());
   // The publish may reentrantly tear down this session (see
   // on_ping_timer); do not touch `s` again if it did.
   if (!sessions_.contains(session_id)) return;
@@ -797,17 +804,17 @@ void TracingBrokerService::publish_trace(Session& s, TracePayload payload,
     fold_heartbeats(s, *earlier);
     if (!sessions_.contains(sid)) return;
   }
-  // The emitter owns the signing ritual. The pending digest it flushes
-  // first is keyed by the session's entity id — the host for batch
-  // sessions.
+  // The emitter owns the signing ritual. Its open batch and the pending
+  // digest it flushes first are keyed by the session's entity id — the
+  // host for batch sessions.
   emitter_.trace(signing(s), s.entity_id, std::move(payload));
   ++stats_.traces_published;
 }
 
 void TracingBrokerService::erase_session(Session& s) {
-  // Ship the heartbeats observed before teardown while the roster source
-  // can still find the session (its roster may be owed). The publish may
-  // reentrantly tear the session down already.
+  // Ship the traces batched and the heartbeats observed before teardown
+  // while the roster source can still find the session (its roster may be
+  // owed). The publish may reentrantly tear the session down already.
   const Uuid sid = s.session_id;
   const std::string host_id = s.entity_id;
   emitter_.flush(host_id);

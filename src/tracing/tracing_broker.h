@@ -19,12 +19,14 @@
 //     roster and the response's liveness bitmap (empty = every member)
 //     says which members answered;
 //   * publishes traces on the per-category derived topics through a
-//     TraceEmitter, every one carrying the entity's authorization token
-//     and a delegate-key signature (§4.3); with digests enabled, a ping
-//     response's plain heartbeats become one liveness bitmap folded into
-//     the host's signed digest, and the digest carries the roster when it
-//     owes it (the session's first digest, or a tracker reported lacking
-//     the session's roster epoch);
+//     TraceEmitter, every message carrying the entity's authorization
+//     token and a delegate-key signature (§4.3); a session's traces from
+//     one event-loop pass share one message, cut before its gauge probe,
+//     a change of signing material or teardown; with digests enabled, a
+//     ping response's plain heartbeats become one liveness bitmap folded
+//     into the host's signed digest, and the digest carries the roster
+//     when it owes it (the session's first digest, or a tracker reported
+//     lacking the session's roster epoch);
 //   * gauges tracker interest periodically and publishes a category only
 //     while some tracker wants it (§3.5); unsolicited interest responses
 //     are also accepted (extension, documented in DESIGN.md);

@@ -185,6 +185,23 @@ void Tracker::on_trace(const std::string& trace_topic,
 
   const std::optional<Bytes> body = verify_and_open(t, trace_topic, m);
   if (!body) return;
+  if (is_trace_batch(*body)) {
+    // One signature over a session's traces from one pass (DESIGN.md §14).
+    // Every entry decodes before any is delivered: a malformed batch is
+    // rejected whole.
+    std::vector<TracePayload> batch;
+    try {
+      batch = decode_trace_batch(*body);
+    } catch (const SerializeError&) {
+      ++stats_.traces_rejected;
+      return;
+    }
+    for (const TracePayload& p : batch) {
+      ++stats_.traces_received;
+      if (t.handler) t.handler(p, m);
+    }
+    return;
+  }
   TracePayload payload;
   try {
     payload = TracePayload::deserialize(*body);

@@ -7,8 +7,12 @@
 //     is not on the entity's discovery-restriction list the TDN stays
 //     silent and tracking fails with kNotFound;
 //   * subscribes selectively to the per-category derived topics;
-//   * verifies every received trace end-to-end (token chain + delegate
-//     signature) before surfacing it;
+//   * verifies every received trace message end-to-end (token chain +
+//     delegate signature) before surfacing it. A batch message (one
+//     session's traces from one event-loop pass under one signature,
+//     DESIGN.md §14) is decoded whole and handed to the handler entry by
+//     entry, in order; a malformed batch is rejected once and none of its
+//     entries reaches the handler;
 //   * expands a host's digests (DESIGN.md §14) through the roster it
 //     caches per trace topic: every set bit of a digest's liveness
 //     bitmaps is one member's ALLS_WELL. The roster arrives inside a
@@ -39,8 +43,8 @@ namespace et::tracing {
 
 /// Counters for tests/benches.
 struct TrackerStats {
-  std::uint64_t traces_received = 0;   // after verification (incl. expanded)
-  std::uint64_t traces_rejected = 0;   // failed token/signature checks
+  std::uint64_t traces_received = 0;   // verified, per batch/digest entry
+  std::uint64_t traces_rejected = 0;   // failed checks or malformed bodies
   std::uint64_t undecryptable = 0;     // encrypted, no (valid) key yet
   std::uint64_t gauges_answered = 0;
   std::uint64_t keys_received = 0;
