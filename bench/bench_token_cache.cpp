@@ -3,7 +3,8 @@
 // Two views of the same optimization:
 //   1. Filter microbench: the broker-side trace filter invoked directly,
 //      cold (every message pays the full RSA chain) vs warm (chain runs
-//      once per token; messages pay fingerprint + delegate verify only),
+//      once per token; messages pay a lookup of the token bytes plus a
+//      delegate verify on the cached key's Montgomery constants),
 //      at 1 / 10 / 100 distinct tokens in flight.
 //   2. Deployment bench: paper-style 3-broker TCP chain, end-to-end trace
 //      latency with the cache disabled vs enabled, plus the steady-state

@@ -23,7 +23,9 @@
 #             inbound token from the wire and reads token-cache entries)
 #             and the trace-batch suites (the tracker takes a batch's entry
 #             count from the wire; the end-of-pass flush task captures the
-#             emitter)
+#             emitter) and the tracker-cache and service-lifetime suites
+#             (the cache's index views token bytes owned by its LRU nodes;
+#             the service destructor unhooks `this`-capturing services)
 #   tsan    — ET_SANITIZE=thread build running the concurrency-sensitive
 #             suites, including the socket backend, the RealTimeNetwork
 #             chaos scenario and overlay-repair smokes, and the
@@ -108,6 +110,9 @@ run_asan() {
   # LRU entry pointers on the hot path.
   # The batch suites: the tracker takes the entry count from the wire, and
   # the end-of-pass flush task captures the emitter.
+  # The tracker-cache and service-lifetime suites: the token cache's index
+  # now views token bytes owned by its LRU nodes, and the tracing service's
+  # destructor unhooks the `this`-capturing services it left on its broker.
   local filter='FrameAssembler|FrameCodec|Robustness|Persist|BigInt|Rsa|Aes'
   filter="$filter|Sha1"
   filter="$filter|Corruption|EntityHostTest|EndToEndTest|LifecycleTest"
@@ -115,6 +120,7 @@ run_asan() {
   filter="$filter|TraceDigest|DigestChaos|DurabilityChaos.Audit"
   filter="$filter|FilterFixture|CachedFilterFixture"
   filter="$filter|TraceBatch"
+  filter="$filter|TrackerTokenCache|ServiceLifetime"
   ctest --test-dir build-asan --output-on-failure --timeout 300 -R "$filter"
 }
 

@@ -59,6 +59,16 @@ std::size_t RsaPublicKey::modulus_len() const {
   return (n_.bit_length() + 7) / 8;
 }
 
+void RsaPublicKey::precompute() {
+  if (!mont_ && Montgomery64::supports(n_)) {
+    mont_ = std::make_shared<const Montgomery64>(n_);
+  }
+}
+
+BigInt RsaPublicKey::public_op(const BigInt& x) const {
+  return mont_ ? mont_->pow(x, e_) : x.mod_exp(e_, n_);
+}
+
 bool RsaPublicKey::verify(BytesView message, BytesView signature,
                           HashAlg alg) const {
   if (empty() || n_.bit_length() > Montgomery64::kMaxBits) return false;
@@ -66,8 +76,7 @@ bool RsaPublicKey::verify(BytesView message, BytesView signature,
   if (signature.size() != k) return false;
   const BigInt s = BigInt::from_bytes(signature);
   if (s >= n_) return false;
-  const BigInt m = s.mod_exp(e_, n_);
-  const Bytes em = m.to_bytes(k);
+  const Bytes em = public_op(s).to_bytes(k);
   Bytes expected;
   try {
     expected = emsa_encode(message, alg, k);
@@ -98,8 +107,7 @@ Bytes RsaPublicKey::encrypt(BytesView plaintext, Rng& rng) const {
   em.push_back(0x00);
   append(em, plaintext);
 
-  const BigInt m = BigInt::from_bytes(em);
-  return m.mod_exp(e_, n_).to_bytes(k);
+  return public_op(BigInt::from_bytes(em)).to_bytes(k);
 }
 
 Bytes RsaPublicKey::serialize() const {

@@ -10,7 +10,10 @@
 //
 // Every modular exponentiation runs on the 64-bit-limb Montgomery64 kernel
 // (bigint.h). Public keys wider than its capacity are refused by verify,
-// which caps the CPU an attacker-supplied key can cost per message.
+// which caps the CPU an attacker-supplied key can cost per message. A
+// public key verified many times (a cached token's delegate key) can keep
+// its Montgomery constants with precompute(), which spares every later
+// verify the BigInt division that builds R^2 mod n.
 //
 // NOT constant-time, no blinding — reproduction quality only.
 #pragma once
@@ -31,16 +34,26 @@ enum class HashAlg : std::uint8_t { kSha1 = 1, kSha256 = 2 };
 /// Name of a hash algorithm ("SHA-1", "SHA-256").
 std::string hash_alg_name(HashAlg alg);
 
-/// RSA public key: modulus n and public exponent e.
+/// RSA public key: modulus n and public exponent e, plus the modulus's
+/// Montgomery constants once precompute() has built them.
 class RsaPublicKey {
  public:
   RsaPublicKey() = default;
   RsaPublicKey(BigInt n, BigInt e);
 
   /// Verifies an RSASSA-PKCS1-v1_5 signature over `message`. False for
-  /// keys wider than Montgomery64::kMaxBits. Immutable and thread-safe.
+  /// keys wider than Montgomery64::kMaxBits. Thread-safe; gives the same
+  /// answer with and without precomputed constants.
   [[nodiscard]] bool verify(BytesView message, BytesView signature,
                             HashAlg alg = HashAlg::kSha1) const;
+
+  /// Builds the modulus's Montgomery constants once; this key and the
+  /// copies made from it afterwards share them. A no-op for a modulus the
+  /// kernel does not support (even, or wider than kMaxBits). Not done on
+  /// construction: most parsed keys are verified against once, if at all.
+  /// Call before the key is shared across threads.
+  void precompute();
+  [[nodiscard]] bool precomputed() const { return mont_ != nullptr; }
 
   /// RSAES-PKCS1-v1_5 encryption; plaintext must be <= modulus_len - 11.
   /// Throws std::invalid_argument when too long.
@@ -59,11 +72,18 @@ class RsaPublicKey {
   /// SHA-1 fingerprint of the serialized key (key identity).
   [[nodiscard]] Bytes fingerprint() const;
 
-  friend bool operator==(const RsaPublicKey&, const RsaPublicKey&) = default;
+  /// Key identity: n and e. The precomputed constants are ignored.
+  friend bool operator==(const RsaPublicKey& a, const RsaPublicKey& b) {
+    return a.n_ == b.n_ && a.e_ == b.e_;
+  }
 
  private:
+  /// x^e mod n, on the precomputed kernel when there is one.
+  [[nodiscard]] BigInt public_op(const BigInt& x) const;
+
   BigInt n_;
   BigInt e_;
+  std::shared_ptr<const Montgomery64> mont_;  // null until precompute()
 };
 
 /// RSA private key with CRT acceleration. The Montgomery constants of p

@@ -81,6 +81,11 @@ class AuthorizationToken {
   [[nodiscard]] bool verify_delegate_signature(BytesView message,
                                                BytesView signature) const;
 
+  /// Keeps the delegate key's Montgomery constants, so that step 5 on this
+  /// token (and its copies) does no BigInt division. For tokens verified
+  /// many times, such as a verifier's cached ones.
+  void precompute_delegate_key() { delegate_key_.precompute(); }
+
   [[nodiscard]] Bytes tbs() const;
   [[nodiscard]] Bytes serialize() const;
   static AuthorizationToken deserialize(BytesView b);

@@ -1,23 +1,32 @@
-// Per-hop token-verification cache (paper §4.3/§5.2).
+// Token-verification cache and the trace authorization check built on it
+// (paper §4.3/§5.2).
 //
-// Every broker verifies the authorization token attached to every trace it
-// routes. The expensive part of that check — the TDN-signed advertisement,
-// the owner credential's CA chain and the owner's token signature, three
-// RSA verifications plus a deserialization — depends only on the token
-// *bytes*, which are identical for every trace a hosting broker emits
-// during one validity window. The paper notes brokers may "keep track of
-// previously computed verifications"; this cache is that bookkeeping, the
-// same amortization trick as TLS session resumption and SPKI chain caches.
+// Every broker routing a trace, and every tracker receiving one, verifies
+// the authorization token attached to it. The expensive part of that
+// check — the TDN-signed advertisement, the owner credential's CA chain
+// and the owner's token signature, three RSA verifications plus a
+// deserialization — depends only on the token *bytes*, which are
+// identical for every trace a hosting broker emits during one validity
+// window. The paper notes verifiers may "keep track of previously computed
+// verifications"; this cache is that bookkeeping, the same amortization
+// trick as TLS session resumption and SPKI chain caches.
+// verify_trace_message() is the one check both verifiers run through it:
+// every broker's inline filter (trace_filter.h) and every Tracker, each
+// with its own cache.
 //
 // Design rules (see DESIGN.md "Token-verification cache"):
-//   * Keys are SHA-256 fingerprints of the raw serialized token, so a
-//     cached verdict can only ever be replayed for byte-identical input —
-//     flipping any bit of a token (signature included) changes the key.
+//   * Keys are the exact token bytes. Each entry keeps its bytes, and a
+//     lookup compares them in full, so a cached verdict can only ever be
+//     replayed for byte-identical input — a token differing in any byte
+//     (signature included) never hits. The bucket hash only places
+//     entries; a collision costs one extra comparison, never a verdict.
 //   * A cached OK stores the parsed token plus its validity window; every
 //     lookup re-evaluates the window against the caller's clock, so a
 //     cached OK is dead the instant the token expires. Entries also carry
 //     a TTL so a revoked-upstream advertisement or credential cannot be
-//     honoured for longer than `ttl` after its last full verification.
+//     honoured for longer than `ttl` after its last full verification. A
+//     stored token keeps its delegate key's Montgomery constants, so the
+//     per-message delegate verify on a hit does no BigInt division.
 //   * Negative verdicts are cached only for *deterministic* rejections
 //     (signature-chain failures, definitively lapsed windows) — never for
 //     malformed input, which is rejected cheaply upstream and must not be
@@ -27,26 +36,29 @@
 //     Eviction is purely a performance event — a re-presented evicted
 //     token simply runs the full chain again.
 //
-// Threading: like pubsub::Broker, a cache instance is owned by one broker
-// and touched only from that broker's node context; it is not internally
-// synchronized.
+// Threading: a cache instance is owned by one verifier (a broker's filter
+// or a tracker) and touched only from that verifier's node context; it is
+// not internally synchronized. stats() may be read from any thread.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <string_view>
 #include <unordered_map>
 
+#include "src/common/bytes.h"
 #include "src/common/clock.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
-#include "src/crypto/fingerprint.h"
+#include "src/pubsub/message.h"
 #include "src/tracing/authorization_token.h"
+#include "src/tracing/config.h"
 
 namespace et::tracing {
 
 /// Counter snapshot exported alongside BrokerStats for benches and tests.
 /// Returned by value from TokenVerifyCache::stats(), which may be called
-/// from any thread while the owning broker keeps verifying (the counters
+/// from any thread while the owning verifier keeps verifying (the counters
 /// are relaxed atomics, same discipline as internal::FilterCounters).
 struct TokenCacheStats {
   std::uint64_t hits = 0;           // cached OK served
@@ -73,6 +85,9 @@ class TokenVerifyCache {
   TokenVerifyCache(std::size_t capacity, Duration ttl)
       : capacity_(capacity), ttl_(ttl) {}
 
+  TokenVerifyCache(const TokenVerifyCache&) = delete;
+  TokenVerifyCache& operator=(const TokenVerifyCache&) = delete;
+
   struct Lookup {
     enum class Kind {
       kMiss,      // no usable entry; run the full chain
@@ -86,24 +101,26 @@ class TokenVerifyCache {
     Status status = Status::ok();
   };
 
-  /// Consults the cache. `now` is the verifying broker's clock; `skew` is
-  /// the NTP allowance applied to the token's validity window, matching
-  /// AuthorizationToken::verify. Entries whose TTL or window has lapsed
-  /// are dropped and reported as misses (counted in `expired`).
-  Lookup lookup(const crypto::Fingerprint256& fp, TimePoint now,
+  /// Consults the cache for the serialized token `token_bytes`. `now` is
+  /// the verifier's clock; `skew` is the NTP allowance applied to the
+  /// token's validity window, matching AuthorizationToken::verify. Entries
+  /// whose TTL or window has lapsed are dropped and reported as misses
+  /// (counted in `expired`).
+  Lookup lookup(BytesView token_bytes, TimePoint now,
                 Duration skew = kDefaultSkewAllowance);
 
-  /// Stores a chain-verified token. Returns a pointer to the stored copy
-  /// (valid until the next mutating call) so the caller can continue with
-  /// per-message checks without re-parsing.
-  const AuthorizationToken* store_ok(const crypto::Fingerprint256& fp,
+  /// Stores `token`, parsed from `token_bytes`, whose chain has verified,
+  /// and builds its delegate key's Montgomery constants. Returns a pointer
+  /// to the stored copy (valid until the next mutating call) so the caller
+  /// can continue with per-message checks without re-parsing; nullptr
+  /// when the capacity is 0.
+  const AuthorizationToken* store_ok(BytesView token_bytes,
                                      AuthorizationToken token, TimePoint now);
 
   /// Stores a deterministic rejection for these exact bytes. Callers must
   /// only pass verdicts that can never change for a byte-identical resend
   /// (signature-chain failures, definitively lapsed validity windows).
-  void store_rejected(const crypto::Fingerprint256& fp, Status verdict,
-                      TimePoint now);
+  void store_rejected(BytesView token_bytes, Status verdict, TimePoint now);
 
   /// Snapshot of the counters. Safe to call from any thread (counters are
   /// relaxed atomics); the structural accessors below are still
@@ -123,7 +140,7 @@ class TokenVerifyCache {
 
  private:
   struct Entry {
-    crypto::Fingerprint256 fp;
+    Bytes token_bytes;  // the key; the index views these bytes
     bool ok = false;
     AuthorizationToken token;  // parsed form, positive entries only
     Status verdict = Status::ok();
@@ -142,16 +159,39 @@ class TokenVerifyCache {
   };
 
   using Lru = std::list<Entry>;
+  /// Keys view the bytes of their own LRU node, which std::list never
+  /// moves; an entry's key dies with it.
+  using Index = std::unordered_map<std::string_view, Lru::iterator>;
 
-  void evict_to_capacity();
+  static std::string_view key_of(BytesView b) {
+    return {reinterpret_cast<const char*>(b.data()), b.size()};
+  }
+  /// Puts `e` at the LRU front, replacing any entry with the same bytes,
+  /// then evicts down to capacity. Returns the stored entry.
+  Entry& insert(Entry e);
+  void erase(Index::iterator it);
 
   std::size_t capacity_;
   Duration ttl_;
   Lru entries_;  // front = most recently used
-  std::unordered_map<crypto::Fingerprint256, Lru::iterator,
-                     crypto::Fingerprint256Hash>
-      index_;
+  Index index_;
   Counters counters_;
 };
+
+/// The authorization check every broker's trace filter and every tracker
+/// run on one trace message `m` (§4.3), in this order:
+///   1. a token is attached, parses, and its chain verifies (through
+///      `cache` when given, so once per distinct token while the entry
+///      lives; with `cache` null on every call);
+///   2. the token grants publish rights;
+///   3. the token names `trace_topic`, the trace topic `m` was published
+///      on;
+///   4. the token's delegate key signed `m`.
+/// Steps 2-4 run on every call, hit or miss. `now` is the verifier's
+/// clock. Returns the first failure.
+Status verify_trace_message(TokenVerifyCache* cache,
+                            const TrustAnchors& anchors, TimePoint now,
+                            const pubsub::MessageView& m,
+                            std::string_view trace_topic);
 
 }  // namespace et::tracing

@@ -18,11 +18,13 @@
 //   pubsub::Broker broker(net, std::move(opts));
 //
 // The installed filter verifies every trace publication inline, inside
-// the broker's packet handler, through a per-broker token cache: the
-// token chain runs once per distinct token (the paper's "keep track of
-// previously computed verifications", §4.3), and each message then pays
-// the per-message checks and one delegate-signature verify. An accepted
-// trace is routed on as the received wire bytes. The returned
+// the broker's packet handler, with verify_trace_message()
+// (token_verify_cache.h), the check every Tracker runs too, through a
+// per-broker token cache: the token chain runs once per distinct token
+// (the paper's "keep track of previously computed verifications", §4.3),
+// and each message then pays the per-message checks and one
+// delegate-signature verify. An accepted trace is routed on as the
+// received wire bytes. The returned
 // TraceFilterHandle is the one place to observe the broker's per-hop
 // verification: filter verdict counters, and the token cache and its hit
 // rates.

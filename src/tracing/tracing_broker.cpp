@@ -48,25 +48,42 @@ TracingBrokerService::TracingBrokerService(pubsub::Broker& broker,
   // §3.2: entities register with THE broker they are connected to, so the
   // registration subscriptions must not propagate — otherwise every broker
   // in the network would mint a (phantom) session for every entity.
-  broker_.subscribe_local(
+  registration_service_ = broker_.subscribe_local(
       tt::registration(),
       [this](const pubsub::Message& m) { handle_registration(m); },
       /*local_only=*/true);
-  broker_.subscribe_local(
+  batch_registration_service_ = broker_.subscribe_local(
       tt::registration_batch(),
       [this](const pubsub::Message& m) { handle_batch_registration(m); },
       /*local_only=*/true);
   // A client whose link vanished without a silent-mode request gets a
   // DISCONNECT trace (paper Table 1) and its session torn down. Every
   // roster member is disconnected individually so trackers keep
-  // per-entity semantics.
-  broker_.add_client_unreachable_listener([this](const std::string& entity) {
+  // per-entity semantics. The broker cannot drop a listener, so this one
+  // turns inert once the service is gone.
+  broker_.add_client_unreachable_listener(
+      [this, alive = std::weak_ptr<const bool>(alive_)](
+          const std::string& entity) {
+    if (alive.expired()) return;
     const auto it = by_entity_.find(entity);
     if (it == by_entity_.end()) return;
     const auto sit = sessions_.find(it->second);
     if (sit == sessions_.end()) return;
     disconnect_session(sit->second, "client link lost");
   });
+}
+
+TracingBrokerService::~TracingBrokerService() {
+  // Unhook every broker registration that captures `this`. Open batches
+  // and pending digests die unpublished with the emitter (its queued
+  // flush task turns inert), and the wheel cancels the session timers.
+  alive_.reset();
+  broker_.unsubscribe_local(registration_service_);
+  broker_.unsubscribe_local(batch_registration_service_);
+  for (const auto& [sid, s] : sessions_) {
+    broker_.unsubscribe_local(s.session_service);
+    broker_.unsubscribe_local(s.interest_service);
+  }
 }
 
 bool TracingBrokerService::has_session_for(const std::string& entity_id) const {

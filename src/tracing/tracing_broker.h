@@ -40,11 +40,19 @@
 // SlotArena so broker memory per entity is a measured constant.
 //
 // All state is touched in the broker's node context only.
+//
+// Lifetime: the service must be destroyed before its broker (every owner
+// declares its brokers' Topology ahead of the services). Its destructor
+// unhooks what it registered on the broker — the registration services,
+// each live session's session and interest-response services — and
+// leaves its client-unreachable listener inert, so a broker that outlives
+// the service never calls into it again.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,6 +90,8 @@ class TracingBrokerService {
  public:
   TracingBrokerService(pubsub::Broker& broker, TrustAnchors anchors,
                        TracingConfig config, std::uint64_t seed);
+
+  ~TracingBrokerService();
 
   TracingBrokerService(const TracingBrokerService&) = delete;
   TracingBrokerService& operator=(const TracingBrokerService&) = delete;
@@ -260,6 +270,11 @@ class TracingBrokerService {
   std::map<std::string, Uuid> by_entity_;
   SlotArena<MemberRecord> roster_;
   TracingBrokerStats stats_;
+  pubsub::LocalServiceId registration_service_ = 0;
+  pubsub::LocalServiceId batch_registration_service_ = 0;
+  /// Expires with the service; the client-unreachable listener, which the
+  /// broker keeps, checks it first.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 
 }  // namespace et::tracing

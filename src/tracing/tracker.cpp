@@ -16,7 +16,9 @@ Tracker::Tracker(transport::NetworkBackend& backend, crypto::Identity identity,
       anchors_(std::move(anchors)),
       rng_(seed),
       client_(backend, identity_.id),
-      disc_(backend, identity_) {}
+      disc_(backend, identity_),
+      token_cache_(TracingConfig::Verification{}.cache_capacity,
+                   TracingConfig::Verification{}.cache_ttl) {}
 
 void Tracker::attach_tdn(transport::NodeId tdn,
                          const transport::LinkParams& params) {
@@ -143,20 +145,12 @@ void Tracker::untrack(const std::string& entity_id) {
 std::optional<Bytes> Tracker::verify_and_open(Tracked& t,
                                               const std::string& trace_topic,
                                               const pubsub::Message& m) {
-  // End-to-end verification (§4.3): token chain + delegate signature. The
-  // broker network already filtered, but a tracker must not trust its
-  // access link.
-  AuthorizationToken token;
-  try {
-    token = AuthorizationToken::deserialize(m.auth_token);
-  } catch (const std::exception&) {
-    ++stats_.traces_rejected;
-    return std::nullopt;
-  }
-  if (!token.verify(anchors_.tdn_key, anchors_.ca_key, backend_.now())
-           .is_ok() ||
-      token.trace_topic().to_string() != trace_topic ||
-      !token.verify_delegate_signature(m.signable_bytes(), m.signature)) {
+  // End-to-end verification (§4.3), the same check every broker's filter
+  // runs: the broker network already filtered, but a tracker must not
+  // trust its access link. The token chain runs once per distinct token.
+  if (!verify_trace_message(&token_cache_, anchors_, backend_.now(),
+                            m.as_view(), trace_topic)
+           .is_ok()) {
     ++stats_.traces_rejected;
     return std::nullopt;
   }

@@ -7,8 +7,13 @@
 //     is not on the entity's discovery-restriction list the TDN stays
 //     silent and tracking fails with kNotFound;
 //   * subscribes selectively to the per-category derived topics;
-//   * verifies every received trace message end-to-end (token chain +
-//     delegate signature) before surfacing it. A batch message (one
+//   * verifies every received trace message end-to-end before surfacing
+//     it, through verify_trace_message(), the check every broker's filter
+//     runs (token_verify_cache.h): the token chain once per distinct token
+//     through the tracker's own TokenVerifyCache (sized by
+//     TracingConfig::Verification's defaults), then per message the
+//     token's publish rights, its trace topic and the delegate signature.
+//     A batch message (one
 //     session's traces from one event-loop pass under one signature,
 //     DESIGN.md §14) is decoded whole and handed to the handler entry by
 //     entry, in order; a malformed batch is rejected once and none of its
@@ -37,6 +42,7 @@
 #include "src/tracing/authorization_token.h"
 #include "src/tracing/config.h"
 #include "src/tracing/registration.h"
+#include "src/tracing/token_verify_cache.h"
 #include "src/tracing/trace_message.h"
 
 namespace et::tracing {
@@ -96,6 +102,10 @@ class Tracker {
 
   [[nodiscard]] const std::string& tracker_id() const { return identity_.id; }
   [[nodiscard]] const TrackerStats& stats() const { return stats_; }
+  /// The token cache's counters. Safe from any thread (relaxed atomics).
+  [[nodiscard]] TokenCacheStats token_cache_stats() const {
+    return token_cache_.stats();
+  }
   [[nodiscard]] pubsub::Client& client() { return client_; }
 
  private:
@@ -117,9 +127,9 @@ class Tracker {
   void begin_subscriptions(Tracked t, ReadyCallback on_ready);
   void on_trace(const std::string& trace_topic, const pubsub::Message& m);
   void on_digest(const std::string& trace_topic, const pubsub::Message& m);
-  /// Token-chain + delegate-signature verification shared by per-entity
-  /// traces and digests (§4.3), plus decryption when the payload is
-  /// sealed with the trace key. Returns the plaintext body or nullopt
+  /// verify_trace_message() for per-entity traces and digests alike
+  /// (§4.3), plus decryption when the payload is sealed with the trace
+  /// key. Returns the plaintext body or nullopt
   /// (counters already bumped).
   std::optional<Bytes> verify_and_open(Tracked& t,
                                        const std::string& trace_topic,
@@ -138,6 +148,7 @@ class Tracker {
   std::map<std::string, Tracked> tracked_;  // keyed by trace-topic string
   std::uint64_t sequence_ = 0;
   TrackerStats stats_;
+  TokenVerifyCache token_cache_;
 };
 
 }  // namespace et::tracing

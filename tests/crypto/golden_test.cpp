@@ -47,6 +47,12 @@ TEST_P(GoldenRsaTest, KeysAndSignaturesMatchPinnedDigests) {
   EXPECT_EQ(hex_encode(Sha256::digest(kp.public_key.n().to_bytes())),
             g.modulus_sha256);
 
+  // A copy holding its Montgomery constants gives every signature, and a
+  // corruption of it, the plain key's verdict.
+  RsaPublicKey precomputed = kp.public_key;
+  precomputed.precompute();
+  ASSERT_TRUE(precomputed.precomputed());
+
   const std::vector<Bytes> messages = golden_messages(rng);
   for (const HashAlg alg : {HashAlg::kSha1, HashAlg::kSha256}) {
     Sha256 h;
@@ -54,6 +60,11 @@ TEST_P(GoldenRsaTest, KeysAndSignaturesMatchPinnedDigests) {
       const Bytes sig = kp.private_key.sign(m, alg);
       ASSERT_EQ(sig.size(), kp.public_key.modulus_len());
       EXPECT_TRUE(kp.public_key.verify(m, sig, alg));
+      EXPECT_TRUE(precomputed.verify(m, sig, alg));
+      Bytes bad = sig;
+      bad[bad.size() / 2] ^= 0x10;
+      EXPECT_FALSE(kp.public_key.verify(m, bad, alg));
+      EXPECT_FALSE(precomputed.verify(m, bad, alg));
       h.update(sig);
     }
     EXPECT_EQ(hex_encode(h.finalize()), alg == HashAlg::kSha1

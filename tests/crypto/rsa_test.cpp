@@ -98,12 +98,15 @@ TEST_F(RsaTest, VerifyRejectsZeroPaddedOrEmptySignature) {
 }
 
 TEST_F(RsaTest, VerifyRejectsEverySingleBitFlip) {
+  RsaPublicKey precomputed = pair_->public_key;
+  precomputed.precompute();
   const Bytes msg = to_bytes("every bit of a 1024-bit signature");
   const Bytes sig = pair_->private_key.sign(msg);
   for (std::size_t bit = 0; bit < 8 * sig.size(); ++bit) {
     Bytes bad = sig;
     bad[bit / 8] = static_cast<std::uint8_t>(bad[bit / 8] ^ (1u << (bit % 8)));
     EXPECT_FALSE(pair_->public_key.verify(msg, bad)) << "bit=" << bit;
+    EXPECT_FALSE(precomputed.verify(msg, bad)) << "bit=" << bit;
   }
 }
 
@@ -126,17 +129,46 @@ TEST(RsaCapacityTest, VerifyRefusesKeysWiderThanTheKernel) {
                                  Montgomery64::kMaxBits}) {
     const BigInt n = BigInt::random_bits(rng, bits - 1) +
                      (BigInt(1) << (bits - 1)) + BigInt(1);
-    const RsaPublicKey key(n, BigInt(1));
+    RsaPublicKey key(n, BigInt(1));
+    EXPECT_TRUE(key.verify(msg, self_signed_em(msg, key.modulus_len())))
+        << bits;
+    key.precompute();  // a no-op for an even n, which the kernel refuses
+    EXPECT_EQ(key.precomputed(), n.is_odd()) << bits;
     EXPECT_TRUE(key.verify(msg, self_signed_em(msg, key.modulus_len())))
         << bits;
   }
   for (const std::size_t bits : {Montgomery64::kMaxBits + 1,
                                  Montgomery64::kMaxBits + 1024}) {
     const BigInt n = (BigInt(1) << (bits - 1)) + BigInt(1);
-    const RsaPublicKey key(n, BigInt(1));
+    RsaPublicKey key(n, BigInt(1));
+    EXPECT_FALSE(key.verify(msg, self_signed_em(msg, key.modulus_len())))
+        << bits;
+    key.precompute();  // nothing to build: still refused
+    EXPECT_FALSE(key.precomputed()) << bits;
     EXPECT_FALSE(key.verify(msg, self_signed_em(msg, key.modulus_len())))
         << bits;
   }
+}
+
+TEST_F(RsaTest, PrecomputedConstantsAreSharedAndIgnoredByEquality) {
+  RsaPublicKey key = pair_->public_key;
+  EXPECT_EQ(key, pair_->public_key);
+  key.precompute();
+  key.precompute();  // idempotent
+  EXPECT_EQ(key, pair_->public_key);
+  EXPECT_NE(key, small_->public_key);
+  const RsaPublicKey copy = key;  // shares the constants
+  EXPECT_TRUE(copy.precomputed());
+  EXPECT_EQ(copy, key);
+  // Encryption runs on the constants too and still round-trips.
+  Rng rng(11);
+  const Bytes pt = to_bytes("sealed under a precomputed key");
+  EXPECT_EQ(pair_->private_key.decrypt(copy.encrypt(pt, rng)), pt);
+  // An empty key has nothing to precompute.
+  RsaPublicKey empty;
+  empty.precompute();
+  EXPECT_FALSE(empty.precomputed());
+  EXPECT_FALSE(empty.verify(to_bytes("m"), Bytes(128)));
 }
 
 TEST_F(RsaTest, SignatureIsDeterministic) {

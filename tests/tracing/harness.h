@@ -156,6 +156,17 @@ class TracingHarness {
     return e;
   }
 
+  /// An entity signing with `identity`, which the test keeps (to sign as
+  /// the entity), attached to broker 0, TDN wired.
+  std::unique_ptr<TracedEntity> make_entity(const crypto::Identity& identity) {
+    auto e = std::make_unique<TracedEntity>(net, identity, anchors, config_,
+                                            rng.next_u64());
+    e->attach_tdn(tdn->node(), link());
+    e->connect_broker(brokers.at(0)->node(), link());
+    net.run_for(20 * kMillisecond);
+    return e;
+  }
+
   /// Tracker attached to `broker_index`, TDN wired.
   std::unique_ptr<Tracker> make_tracker(const std::string& id,
                                         std::size_t broker_index = 0) {
@@ -165,6 +176,17 @@ class TracingHarness {
     t->connect_broker(brokers.at(broker_index)->node(), link());
     net.run_for(20 * kMillisecond);
     return t;
+  }
+
+  /// Delivers `m` straight over `t`'s access link, bypassing every broker
+  /// and its filter (a compromised last hop), and lets it arrive.
+  void deliver_direct(Tracker& t, const pubsub::Message& m) {
+    if (!net.linked(tdn->node(), t.client().node())) {
+      net.link(tdn->node(), t.client().node(), link());
+    }
+    (void)net.send(tdn->node(), t.client().node(),
+                   pubsub::make_publish(m).serialize());
+    net.run_for(10 * kMillisecond);
   }
 
   /// Runs start_tracing to completion; returns the outcome.

@@ -2,6 +2,8 @@
 // and tracker untrack.
 #include <gtest/gtest.h>
 
+#include "src/pubsub/client.h"
+#include "src/pubsub/constrained_topic.h"
 #include "src/transport/fault_injector.h"
 #include "tests/tracing/harness.h"
 
@@ -295,6 +297,68 @@ TEST(LifecycleTest, FailoverAnnouncesRecoveringThenReady) {
   EXPECT_EQ(states, (std::vector<TraceType>{TraceType::kRecovering,
                                             TraceType::kReady}));
   EXPECT_EQ(entity->state(), EntityState::kReady);
+}
+
+// A TracingBrokerService destroyed while its broker lives leaves no
+// handler of its own on the broker: no topic it served reaches one, and
+// its client-unreachable listener does nothing. Under ASan, any handler
+// run on the freed service is a heap-use-after-free.
+TEST(ServiceLifetimeTest, DestroyedServiceLeavesNoHandlerOnItsBroker) {
+  namespace tt = pubsub::trace_topics;
+  TracingHarness h;
+  auto entity = h.make_entity("svc-orphan");
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+  auto tracker = h.make_tracker("watcher");
+  int delivered = 0;
+  ASSERT_TRUE(h.track(*tracker, "svc-orphan", kCatAllUpdates,
+                      [&](const TracePayload&, const pubsub::Message&) {
+                        ++delivered;
+                      })
+                  .is_ok());
+  h.net.run_for(300 * kMillisecond);
+  ASSERT_GT(delivered, 0);
+  pubsub::Broker& broker = *h.brokers[0];
+  const std::vector<std::string> served = {
+      tt::registration(), tt::registration_batch(),
+      tt::interest_response(entity->trace_topic().to_string())};
+  pubsub::Client prober(h.net, "prober");
+  prober.connect(broker.node(), TracingHarness::link());
+  h.net.run_for(20 * kMillisecond);
+  // While the service lives, each of these topics reaches its handlers
+  // (a local-service delivery materializes the message).
+  for (const std::string& topic : served) {
+    const std::uint64_t materialized = broker.stats().materialized;
+    prober.publish(topic, to_bytes("junk"));
+    h.net.run_for(20 * kMillisecond);
+    EXPECT_GT(broker.stats().materialized, materialized) << topic;
+  }
+
+  h.services[0].reset();
+  delivered = 0;
+  const std::uint64_t materialized = broker.stats().materialized;
+
+  // The entity's session topic: its state report reaches no handler.
+  entity->set_state(EntityState::kReady);
+  h.net.run_for(500 * kMillisecond);
+  // Nor do the registration and interest-response topics.
+  for (const std::string& topic : served) {
+    prober.publish(topic, to_bytes("junk"));
+  }
+  h.net.run_for(100 * kMillisecond);
+  EXPECT_EQ(broker.stats().materialized, materialized);
+
+  // A client whose link vanished fires the broker's unreachable
+  // listeners on the next send to it; the dead service's does nothing.
+  pubsub::Client bystander(h.net, "bystander");
+  bystander.connect(broker.node(), TracingHarness::link());
+  bystander.subscribe("lifetime/probe", [](const pubsub::Message&) {});
+  h.net.run_for(20 * kMillisecond);
+  h.net.unlink(bystander.node(), broker.node());
+  prober.publish("lifetime/probe", to_bytes("ping"));
+  h.net.run_for(100 * kMillisecond);
+
+  EXPECT_EQ(broker.stats().materialized, materialized);
+  EXPECT_EQ(delivered, 0);
 }
 
 }  // namespace

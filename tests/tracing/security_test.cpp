@@ -3,6 +3,9 @@
 // denial-of-service handling (§5.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/pubsub/client.h"
 #include "tests/tracing/harness.h"
 
@@ -246,6 +249,61 @@ TEST(SecurityTest, TrackerRejectsTamperedTraces) {
   h.net.run_for(100 * kMillisecond);
 
   EXPECT_GT(tracker->stats().traces_rejected, 0u);
+}
+
+TEST(SecurityTest, TrackerRejectsSubscribeRightsToken) {
+  TracingHarness h;
+  const crypto::Identity owner = h.make_identity("svc-rights");
+  auto entity = h.make_entity(owner);
+  ASSERT_TRUE(h.start_tracing(*entity).is_ok());
+
+  auto tracker = h.make_tracker("strict");
+  std::vector<Bytes> handled;  // signatures of the messages delivered
+  ASSERT_TRUE(h.track(*tracker, "svc-rights", kCatAllUpdates,
+                      [&](const TracePayload&, const pubsub::Message& m) {
+                        handled.push_back(m.signature);
+                      })
+                  .is_ok());
+  h.net.run_for(300 * kMillisecond);
+
+  // The owner grants subscribe rights only; every other check would pass:
+  // the chain verifies, the token names the trace topic and its delegate
+  // signs the trace.
+  const crypto::RsaKeyPair delegate =
+      crypto::rsa_generate(h.rng, testing::kTestKeyBits);
+  const auto forge = [&](TokenRights rights) {
+    const AuthorizationToken token = AuthorizationToken::create(
+        entity->advertisement(), delegate.public_key, rights, h.net.now(),
+        h.net.now() + 60 * kSecond, owner.keys.private_key);
+    TracePayload p;
+    p.type = TraceType::kAllsWell;
+    p.entity_id = "svc-rights";
+    p.detail = "forged";
+    pubsub::Message m;
+    m.topic = pubsub::trace_topics::trace_publication(
+        entity->trace_topic().to_string(), "AllUpdates");
+    m.payload = p.serialize();
+    m.publisher = "rogue-broker";
+    m.timestamp = h.net.now();
+    m.auth_token = token.serialize();
+    m.signature = delegate.private_key.sign(m.signable_bytes());
+    return m;
+  };
+  const auto handled_count = [&](const pubsub::Message& m) {
+    return std::count(handled.begin(), handled.end(), m.signature);
+  };
+
+  const pubsub::Message subscribe_only = forge(TokenRights::kSubscribe);
+  const std::uint64_t rejected = tracker->stats().traces_rejected;
+  h.deliver_direct(*tracker, subscribe_only);
+  EXPECT_EQ(tracker->stats().traces_rejected, rejected + 1);
+  EXPECT_EQ(handled_count(subscribe_only), 0);
+
+  // The same forgery with publish rights is accepted: rights alone decided.
+  const pubsub::Message publish = forge(TokenRights::kPublish);
+  h.deliver_direct(*tracker, publish);
+  EXPECT_EQ(tracker->stats().traces_rejected, rejected + 1);
+  EXPECT_EQ(handled_count(publish), 1);
 }
 
 TEST(SecurityTest, ExpiredTokenStopsTraceRouting) {

@@ -5,7 +5,10 @@
 // all still reject exactly as before.
 #include <gtest/gtest.h>
 
-#include "src/crypto/fingerprint.h"
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "src/pubsub/message.h"
 #include "src/tracing/token_verify_cache.h"
 #include "src/tracing/trace_filter.h"
@@ -156,11 +159,35 @@ TEST_F(CachedFilterFixture, TamperedTokenCannotAliasCachedVerdict) {
 TEST_F(CachedFilterFixture, MalformedTokensAreNotCached) {
   const AuthorizationToken t = make_token();
   pubsub::Message m = trace_message(t);
+  const Bytes token = m.auth_token;
   m.auth_token = to_bytes("garbage-not-a-token");
   EXPECT_EQ(run(m).code(), Code::kUnauthenticated);
   EXPECT_EQ(run(m).code(), Code::kUnauthenticated);
+  // Every truncation of a genuine token, and one trailing byte.
+  for (std::size_t len = 0; len < token.size(); ++len) {
+    m.auth_token.assign(token.begin(), token.begin() + len);
+    EXPECT_EQ(run(m).code(), Code::kUnauthenticated) << "length " << len;
+  }
+  m.auth_token = token;
+  m.auth_token.push_back(0x00);
+  EXPECT_EQ(run(m).code(), Code::kUnauthenticated);
   EXPECT_EQ(cache->stats().insertions, 0u);
   EXPECT_EQ(cache->size(), 0u);
+}
+
+TEST_F(CachedFilterFixture, EveryByteFlipOfACachedTokenMissesAndIsRejected) {
+  const pubsub::Message good = trace_message(make_token());
+  ASSERT_TRUE(run(good).is_ok());  // cached OK
+  // Every byte, the owner signature at the tail included: the flipped
+  // bytes never reach the cached verdict.
+  for (std::size_t i = 0; i < good.auth_token.size(); ++i) {
+    pubsub::Message m = good;
+    m.auth_token[i] ^= 0xFF;
+    const TokenCacheStats before = cache->stats();
+    EXPECT_FALSE(run(m).is_ok()) << "byte " << i;
+    EXPECT_EQ(cache->stats().hits, before.hits) << "byte " << i;
+    EXPECT_EQ(cache->stats().misses, before.misses + 1) << "byte " << i;
+  }
 }
 
 TEST_F(CachedFilterFixture, NotYetValidIsNotNegativelyCached) {
@@ -184,6 +211,8 @@ TEST_F(CachedFilterFixture, CachedTokenStillRejectsWrongTopic) {
       make_advertisement(Uuid::generate(rng));
   pubsub::Message wrong = trace_message(t, other_ad);
   EXPECT_EQ(run(wrong).code(), Code::kPermissionDenied);
+  EXPECT_EQ(cache->stats().hits, 1u);  // rejected on a hit
+  EXPECT_EQ(cache->stats().misses, 1u);
 }
 
 TEST_F(CachedFilterFixture, CachedTokenStillChecksDelegateSignature) {
@@ -254,18 +283,20 @@ TEST_F(CachedFilterFixture, TtlForcesFullReverification) {
 TEST_F(CachedFilterFixture, LruPrefersRecentlyUsedEntries) {
   TokenVerifyCache lru(/*capacity=*/2, /*ttl=*/60 * kSecond);
   const AuthorizationToken a = make_token();
-  const auto fp_a = crypto::fingerprint(a.serialize());
-  const auto fp_b = crypto::fingerprint(to_bytes("token-b"));
-  const auto fp_c = crypto::fingerprint(to_bytes("token-c"));
-  lru.store_ok(fp_a, a, 0);
-  lru.store_rejected(fp_b, unauthenticated("bad"), 0);
+  const Bytes bytes_a = a.serialize();
+  const Bytes bytes_b = to_bytes("token-b");
+  const Bytes bytes_c = to_bytes("token-c");
+  // A stored token carries its delegate key's Montgomery constants.
+  ASSERT_TRUE(lru.store_ok(bytes_a, a, 0)->delegate_key().precomputed());
+  EXPECT_FALSE(a.delegate_key().precomputed());
+  lru.store_rejected(bytes_b, unauthenticated("bad"), 0);
   // Touch A so B is the least recently used, then insert C.
-  EXPECT_EQ(lru.lookup(fp_a, 0).kind, TokenVerifyCache::Lookup::Kind::kOk);
-  lru.store_rejected(fp_c, unauthenticated("bad"), 0);
+  EXPECT_EQ(lru.lookup(bytes_a, 0).kind, TokenVerifyCache::Lookup::Kind::kOk);
+  lru.store_rejected(bytes_c, unauthenticated("bad"), 0);
   EXPECT_EQ(lru.stats().evictions, 1u);
-  EXPECT_EQ(lru.lookup(fp_a, 0).kind, TokenVerifyCache::Lookup::Kind::kOk);
-  EXPECT_EQ(lru.lookup(fp_b, 0).kind, TokenVerifyCache::Lookup::Kind::kMiss);
-  EXPECT_EQ(lru.lookup(fp_c, 0).kind,
+  EXPECT_EQ(lru.lookup(bytes_a, 0).kind, TokenVerifyCache::Lookup::Kind::kOk);
+  EXPECT_EQ(lru.lookup(bytes_b, 0).kind, TokenVerifyCache::Lookup::Kind::kMiss);
+  EXPECT_EQ(lru.lookup(bytes_c, 0).kind,
             TokenVerifyCache::Lookup::Kind::kRejected);
 }
 
@@ -292,6 +323,134 @@ TEST(TokenCacheE2eTest, DownstreamBrokerCacheReachesSteadyState) {
   EXPECT_GE(s.hits, 5u);
   EXPECT_LE(s.misses, 2u);  // first trace (+ a renewal at most)
   EXPECT_GT(s.hit_rate(), 0.8);
+}
+
+// --- the tracker verifies through its own cache ----------------------------
+
+/// One entity whose identity the test keeps, tracked by one tracker on
+/// the same broker. `handled` collects the signature of every message
+/// the tracker hands its handler.
+struct TrackerCacheFixture {
+  explicit TrackerCacheFixture(
+      TracingConfig config = testing::TracingHarness::fast_config())
+      : h(1, config), owner(h.make_identity("svc")) {
+    entity = h.make_entity(owner);
+    EXPECT_TRUE(h.start_tracing(*entity).is_ok());
+    tracker = h.make_tracker("watcher");
+    EXPECT_TRUE(h.track(*tracker, "svc", kCatAllUpdates,
+                        [this](const TracePayload&, const pubsub::Message& m) {
+                          handled.push_back(m.signature);
+                          last = m;
+                        })
+                    .is_ok());
+  }
+
+  [[nodiscard]] std::size_t handled_count(const pubsub::Message& m) const {
+    return static_cast<std::size_t>(
+        std::count(handled.begin(), handled.end(), m.signature));
+  }
+
+  testing::TracingHarness h;
+  crypto::Identity owner;
+  std::unique_ptr<TracedEntity> entity;
+  std::unique_ptr<Tracker> tracker;
+  std::vector<Bytes> handled;
+  pubsub::Message last;
+};
+
+TEST(TrackerTokenCacheTest, FirstTraceMissesLaterTracesHit) {
+  TrackerCacheFixture f;
+  f.h.net.run_for(1 * kSecond);
+  ASSERT_GT(f.handled.size(), 5u);
+  const TokenCacheStats s = f.tracker->token_cache_stats();
+  EXPECT_EQ(s.misses, 1u);  // the token chain ran once
+  EXPECT_EQ(s.insertions, 1u);
+  EXPECT_EQ(s.expired, 0u);
+  EXPECT_EQ(s.negative_hits, 0u);
+  // Every later message (traces and gauge probes alike) hit.
+  const std::set<Bytes> messages(f.handled.begin(), f.handled.end());
+  EXPECT_GE(s.hits + s.misses, messages.size());
+  EXPECT_EQ(f.tracker->stats().traces_rejected, 0u);
+}
+
+TEST(TrackerTokenCacheTest, CachedTokenOnAnotherTopicIsRejectedOnAHit) {
+  TrackerCacheFixture f;
+  auto other = f.h.make_entity("svc-other");
+  ASSERT_TRUE(f.h.start_tracing(*other).is_ok());
+  ASSERT_TRUE(f.h.track(*f.tracker, "svc-other", kCatAllUpdates,
+                        [&](const TracePayload&, const pubsub::Message& m) {
+                          f.handled.push_back(m.signature);
+                        })
+                  .is_ok());
+  f.h.net.run_for(300 * kMillisecond);
+  ASSERT_FALSE(f.last.auth_token.empty());
+
+  // The first entity's cached token, presented on the other entity's
+  // trace topic.
+  pubsub::Message moved = f.last;
+  moved.topic = pubsub::trace_topics::trace_publication(
+      other->trace_topic().to_string(), "AllUpdates");
+  moved.signature.back() ^= 0x01;  // tells it apart from the original
+  const TokenCacheStats before = f.tracker->token_cache_stats();
+  const std::uint64_t rejected = f.tracker->stats().traces_rejected;
+  f.h.deliver_direct(*f.tracker, moved);
+  const TokenCacheStats after = f.tracker->token_cache_stats();
+  EXPECT_EQ(f.tracker->stats().traces_rejected, rejected + 1);
+  EXPECT_EQ(f.handled_count(moved), 0u);
+  // Served by a positive hit: no lookup missed, expired or hit a
+  // rejection.
+  EXPECT_GT(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.expired, before.expired);
+  EXPECT_EQ(after.negative_hits, before.negative_hits);
+}
+
+TEST(TrackerTokenCacheTest, LapsedWindowIsRejectedOnAHit) {
+  TracingConfig c = testing::TracingHarness::fast_config();
+  c.token_lifetime = 700 * kMillisecond;
+  c.auto_renew_tokens = false;  // let the cached token lapse
+  TrackerCacheFixture f(c);
+  f.h.net.run_for(300 * kMillisecond);
+  ASSERT_GT(f.handled.size(), 0u);
+  ASSERT_GT(f.tracker->token_cache_stats().hits, 0u);
+
+  // Past the window and its skew allowance, the cached entry is dropped
+  // on its next lookup and the token is turned away from then on.
+  f.h.net.run_for(1500 * kMillisecond);
+  const std::size_t handled = f.handled.size();
+  const std::uint64_t rejected = f.tracker->stats().traces_rejected;
+  f.h.net.run_for(500 * kMillisecond);
+  EXPECT_EQ(f.handled.size(), handled);
+  EXPECT_GT(f.tracker->stats().traces_rejected, rejected);
+  const TokenCacheStats s = f.tracker->token_cache_stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_GE(s.expired, 1u);
+  EXPECT_GE(s.negative_hits, 1u);  // the lapse is monotonic: cached
+}
+
+TEST(TrackerTokenCacheTest, MalformedTokensAreNeverStored) {
+  TrackerCacheFixture f;
+  f.h.net.run_for(300 * kMillisecond);
+  ASSERT_FALSE(f.last.auth_token.empty());
+  const TokenCacheStats before = f.tracker->token_cache_stats();
+  const std::uint64_t rejected = f.tracker->stats().traces_rejected;
+
+  const pubsub::Message captured = f.last;
+  const std::size_t handled = f.handled_count(captured);
+  const Bytes& token = captured.auth_token;
+  std::vector<Bytes> malformed = {to_bytes("garbage-not-a-token"),
+                                  Bytes(token.begin(), token.end() - 1),
+                                  token};
+  malformed.back().push_back(0x00);
+  for (const Bytes& bad : malformed) {
+    pubsub::Message m = captured;
+    m.auth_token = bad;
+    f.h.deliver_direct(*f.tracker, m);
+  }
+  EXPECT_EQ(f.tracker->stats().traces_rejected, rejected + malformed.size());
+  EXPECT_EQ(f.handled_count(captured), handled);
+  EXPECT_EQ(f.tracker->token_cache_stats().insertions, before.insertions);
+  EXPECT_EQ(f.tracker->token_cache_stats().negative_hits, 0u);
 }
 
 }  // namespace
