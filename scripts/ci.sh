@@ -98,6 +98,10 @@ run_asan() {
   # unrolled SHA-1 rounds over a 16-word schedule ring (padded in place),
   # against the classical reference, the golden outputs, every message
   # prefix up to 1 KiB and corrupted signatures.
+  # ASan does not instrument the 8-limb MULX/ADX kernel's asm, so the
+  # BigIntMulx8 differential tests (against the portable kernel and a
+  # BigInt reference) are its oracle, and ASan guards the Limbs buffers
+  # the kernel is handed.
   # The tracing client suites drive both EntitySession front ends through
   # registration, renewal, pings, teardown and broker-silence failover,
   # whose callbacks capture `this` across timers and discovery round-trips.

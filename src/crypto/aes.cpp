@@ -299,7 +299,7 @@ Bytes aes_cbc_decrypt(const Aes& cipher, BytesView ciphertext) {
       throw std::invalid_argument("aes_cbc_decrypt: bad padding");
     }
   }
-  out.resize(out.size() - pad);
+  out.erase(out.end() - pad, out.end());
   return out;
 }
 

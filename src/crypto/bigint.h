@@ -4,8 +4,9 @@
 // comparison, add/sub/mul, Knuth Algorithm-D division, shifts, modular
 // exponentiation, extended-Euclid modular inverse, and Miller-Rabin
 // primality testing. Exponentiation modulo an odd modulus of up to 2048 bits
-// runs on Montgomery64, a 64-bit-limb CIOS kernel over fixed-capacity stack
-// arrays that allocates nothing per multiplication.
+// runs on Montgomery64, 64-bit-limb Montgomery arithmetic over
+// fixed-capacity stack arrays that allocates nothing per multiplication
+// (portable CIOS, or a MULX/ADX kernel for 512-bit moduli on x86-64).
 //
 // NOT constant-time. This is a reproduction-quality implementation whose
 // purpose is to recreate the *cost structure* of the paper's BouncyCastle
@@ -124,11 +125,18 @@ struct DivMod {
 /// Montgomery arithmetic modulo one odd modulus of at most kMaxBits bits.
 ///
 /// Operands are fixed-capacity arrays of 64-bit limbs indexed by the
-/// modulus's runtime limb count. Multiplication is CIOS and squaring is
-/// square-then-reduce, both on 128-bit products, and nothing is allocated
-/// per operation. This one kernel serves the RSA public and CRT private
-/// operations, BigInt::mod_exp and Miller-Rabin. Immutable after
-/// construction, so one instance may be shared across threads.
+/// modulus's runtime limb count, and nothing is allocated per operation.
+/// This one class serves the RSA public and CRT private operations,
+/// BigInt::mod_exp and Miller-Rabin. The kernel is chosen once, at
+/// construction (src/crypto/montgomery_kernels.h):
+///  - an 8-limb modulus (449 to 512 bits: each RSA-1024 CRT half) runs a
+///    MULX/ADCX/ADOX assembly kernel for both products and squares when
+///    the CPU reports BMI2 and ADX;
+///  - every other modulus, including the 16-limb RSA-1024 public
+///    operation, and any other CPU, runs the portable kernels: CIOS
+///    multiplication and square-then-reduce squaring on 128-bit products.
+/// Both give the same results bit for bit. Immutable after construction,
+/// so one instance may be shared across threads.
 class Montgomery64 {
  public:
   static constexpr std::size_t kMaxLimbs = 32;
@@ -149,6 +157,9 @@ class Montgomery64 {
   /// public exponents such as 65537, up to 5-bit windows for long ones.
   [[nodiscard]] BigInt pow(const BigInt& base, const BigInt& exponent) const;
 
+  /// True when this modulus runs the 8-limb MULX/ADX kernel.
+  [[nodiscard]] bool uses_mulx8() const { return mulx8_; }
+
  private:
   // Little-endian; only the low k_ limbs of a value are ever read.
   using Limbs = std::array<std::uint64_t, kMaxLimbs>;
@@ -159,8 +170,6 @@ class Montgomery64 {
   void mont_sqr(Limbs& out, const Limbs& a) const;
   /// out = t * R^-1 mod n for a 2k-limb t < n * R. Clobbers t.
   void redc(Limbs& out, std::uint64_t* t) const;
-  /// out = (t + top * R) mod n for a k-limb t with t + top * R < 2n.
-  void reduce_once(Limbs& out, std::uint64_t* t, std::uint64_t top) const;
   /// x mod n in normal (not Montgomery) form.
   void load(Limbs& out, const BigInt& x) const;
   /// Low k_ limbs of x as a BigInt.
@@ -170,6 +179,7 @@ class Montgomery64 {
   Limbs r2_{};               // R^2 mod n
   std::uint64_t n0inv_ = 0;  // -n^-1 mod 2^64
   std::size_t k_ = 0;        // limb count of n
+  bool mulx8_ = false;       // mont_mul and mont_sqr run kernels::mont_mul8
 };
 
 }  // namespace et::crypto
