@@ -51,6 +51,7 @@ void run_transport(const char* name, const transport::LinkParams& link) {
                     run_config(hops, link, /*secure=*/false));
     }
     table.print();
+    table.print_json("hops");
   }
   {
     PaperTable table("Trace Routing Overhead for different hops (" +
@@ -60,6 +61,7 @@ void run_transport(const char* name, const transport::LinkParams& link) {
                     run_config(hops, link, /*secure=*/true));
     }
     table.print();
+    table.print_json("hops");
   }
 }
 

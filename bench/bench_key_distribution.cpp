@@ -77,5 +77,6 @@ int main() {
                   et::bench::run_hops(hops));
   }
   table.print();
+  table.print_json("key_distribution");
   return 0;
 }

@@ -118,6 +118,52 @@ void BM_MontgomeryModExp(benchmark::State& state) {
 BENCHMARK(BM_MontgomeryModExp)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
+// The two CRT exponentiations of a private operation: lockstep:1 is
+// MontgomeryPair (one lockstep pass of the 2-way IFMA kernel where the CPU
+// has it), lockstep:0 two Montgomery64::pow calls.
+void BM_MontgomeryPow2(benchmark::State& state) {
+  Rng rng(11);
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  const crypto::BigInt p = crypto::BigInt::generate_prime(rng, bits, 16);
+  const crypto::BigInt q = crypto::BigInt::generate_prime(rng, bits, 16);
+  const crypto::BigInt base = crypto::BigInt::random_below(rng, p * q);
+  const crypto::BigInt ep = crypto::BigInt::random_below(rng, p);
+  const crypto::BigInt eq = crypto::BigInt::random_below(rng, q);
+  if (state.range(1) != 0) {
+    const crypto::MontgomeryPair pair(p, q);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(pair.pow(base, ep, eq));
+    }
+  } else {
+    const crypto::Montgomery64 mp(p);
+    const crypto::Montgomery64 mq(q);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(mp.pow(base, ep));
+      benchmark::DoNotOptimize(mq.pow(base, eq));
+    }
+  }
+}
+BENCHMARK(BM_MontgomeryPow2)
+    ->ArgNames({"bits", "lockstep"})
+    ->Args({512, 0})
+    ->Args({512, 1})
+    ->Unit(benchmark::kMicrosecond);
+
+// The RSA public operation: base^65537 modulo a 1024-bit modulus.
+void BM_MontgomeryPowF4(benchmark::State& state) {
+  Rng rng(12);
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  const crypto::BigInt n = crypto::BigInt::generate_prime(rng, bits / 2, 16) *
+                           crypto::BigInt::generate_prime(rng, bits / 2, 16);
+  const crypto::BigInt base = crypto::BigInt::random_below(rng, n);
+  const crypto::BigInt e(65537);
+  const crypto::Montgomery64 mont(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mont.pow(base, e));
+  }
+}
+BENCHMARK(BM_MontgomeryPowF4)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
 void BM_TopicMatch(benchmark::State& state) {
   const std::string pattern =
       "Constrained/Traces/Broker/Publish-Only/"

@@ -55,6 +55,7 @@ int main() {
           et::bench::run_config(hops, EntitySigningMode::kSignEachMessage));
     }
     table.print();
+    table.print_json("signing_optimization");
   }
   {
     et::bench::PaperTable table(
@@ -65,6 +66,7 @@ int main() {
           et::bench::run_config(hops, EntitySigningMode::kSymmetricSession));
     }
     table.print();
+    table.print_json("signing_optimization");
   }
   return 0;
 }

@@ -99,5 +99,6 @@ int main() {
                   et::bench::run_count(n));
   }
   table.print();
+  table.print_json("traced_entities");
   return 0;
 }

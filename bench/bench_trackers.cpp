@@ -59,6 +59,7 @@ void run() {
     table.add_row(std::to_string(count) + " trackers", stats);
   }
   table.print();
+  table.print_json("trackers");
   dep.net.stop();
 }
 

@@ -13,8 +13,9 @@
 #   asan    — ET_SANITIZE=address build of the codec-edge and robustness
 #             suites (over-read probes on the framing/view decoders), the
 #             crypto suites (the Montgomery64 kernel indexes stack arrays
-#             by a runtime limb count; the unrolled SHA-1 indexes a 16-word
-#             schedule ring), the tracing client suites (the
+#             by a runtime limb count; the IFMA kernels load and store
+#             whole registers of radix-2^52 digits; the unrolled SHA-1
+#             indexes a 16-word schedule ring), the tracing client suites (the
 #             entity-session core's `this`-capturing timer, discovery and
 #             subscription callbacks) and the bitmap-digest suites (the
 #             digest decoder takes roster and bitmap counts from the wire;
@@ -101,7 +102,11 @@ run_asan() {
   # ASan does not instrument the 8-limb MULX/ADX kernel's asm, so the
   # BigIntMulx8 differential tests (against the portable kernel and a
   # BigInt reference) are its oracle, and ASan guards the Limbs buffers
-  # the kernel is handed.
+  # the kernel is handed. The AVX-512 IFMA kernels are intrinsics, so ASan
+  # does instrument their loads and stores: the BigIntIfma suites run the
+  # raw 2-way and 1-way products, the lockstep CRT pair and the kernel
+  # selection (the kernel cases skip, with a reason, on a CPU without
+  # AVX512-IFMA and AVX512VL).
   # The tracing client suites drive both EntitySession front ends through
   # registration, renewal, pings, teardown and broker-silence failover,
   # whose callbacks capture `this` across timers and discovery round-trips.

@@ -437,29 +437,47 @@ bool Montgomery64::supports(const BigInt& modulus) {
          modulus.bit_length() <= kMaxBits;
 }
 
+void BigInt::to_words(std::uint64_t* out, std::size_t k) const {
+  std::fill_n(out, k, 0);
+  for (std::size_t i = 0; i < limbs_.size() && i < 2 * k; ++i) {
+    out[i / 2] |= static_cast<std::uint64_t>(limbs_[i]) << (32 * (i % 2));
+  }
+}
+
+BigInt BigInt::from_words(const std::uint64_t* x, std::size_t k) {
+  BigInt out;
+  out.limbs_.resize(2 * k);
+  for (std::size_t i = 0; i < 2 * k; ++i) {
+    out.limbs_[i] = static_cast<std::uint32_t>(x[i / 2] >> (32 * (i % 2)));
+  }
+  out.trim();
+  return out;
+}
+
 Montgomery64::Montgomery64(const BigInt& modulus) {
   if (!supports(modulus)) {
     throw std::domain_error(
         "Montgomery64: modulus must be odd, > 1 and at most 2048 bits");
   }
   k_ = (modulus.limbs_.size() + 1) / 2;
-  for (std::size_t i = 0; i < modulus.limbs_.size(); ++i) {
-    n_[i / 2] |= static_cast<std::uint64_t>(modulus.limbs_[i])
-                 << (32 * (i % 2));
-  }
+  modulus.to_words(n_.data(), k_);
   n0inv_ = mont_n0inv(n_[0]);
-  mulx8_ = k_ == 8 && kernels::mont_mul8_available();
-  load(r2_, (BigInt(1) << (128 * k_)) % modulus);
+  std::size_t r_bits = 64 * k_;
+  if (k_ == 16 && kernels::ifma_available()) {
+    kernel_ = Kernel::kIfma16;
+    r_bits = 52 * kernels::kIfmaWideDigits;
+  } else if (k_ == 8 && kernels::mont_mul8_available()) {
+    kernel_ = Kernel::kMulx8;
+  }
+  load(r2_, (BigInt(1) << (2 * r_bits)) % modulus);
 }
 
 void Montgomery64::load(Limbs& out, const BigInt& x) const {
-  // Any x of more than 2k 32-bit limbs is >= R > n; otherwise compare limbs.
+  // Any x of more than 2k 32-bit limbs is >= 2^(64k) > n; otherwise compare
+  // limbs.
   bool reduce = x.limbs_.size() > 2 * k_;
   if (!reduce) {
-    std::fill_n(out.begin(), k_, 0);
-    for (std::size_t i = 0; i < x.limbs_.size(); ++i) {
-      out[i / 2] |= static_cast<std::uint64_t>(x.limbs_[i]) << (32 * (i % 2));
-    }
+    x.to_words(out.data(), k_);
     reduce = true;  // x == n reduces to zero
     for (std::size_t j = k_; j-- > 0;) {
       if (out[j] != n_[j]) {
@@ -472,18 +490,12 @@ void Montgomery64::load(Limbs& out, const BigInt& x) const {
 }
 
 BigInt Montgomery64::store(const Limbs& x) const {
-  BigInt out;
-  out.limbs_.resize(2 * k_);
-  for (std::size_t i = 0; i < 2 * k_; ++i) {
-    out.limbs_[i] = static_cast<std::uint32_t>(x[i / 2] >> (32 * (i % 2)));
-  }
-  out.trim();
-  return out;
+  return BigInt::from_words(x.data(), k_);
 }
 
 void Montgomery64::mont_mul(Limbs& out, const Limbs& a,
                             const Limbs& b) const {
-  if (mulx8_) {
+  if (kernel_ == Kernel::kMulx8) {
     kernels::mont_mul8(out.data(), a.data(), b.data(), n_.data(), n0inv_);
   } else {
     kernels::mont_mul_portable(out.data(), a.data(), b.data(), n_.data(),
@@ -492,7 +504,7 @@ void Montgomery64::mont_mul(Limbs& out, const Limbs& a,
 }
 
 void Montgomery64::mont_sqr(Limbs& out, const Limbs& a) const {
-  if (mulx8_) {
+  if (kernel_ == Kernel::kMulx8) {
     kernels::mont_mul8(out.data(), a.data(), a.data(), n_.data(), n0inv_);
     return;
   }
@@ -551,6 +563,11 @@ BigInt Montgomery64::mul(const BigInt& a, const BigInt& b) const {
   Limbs y{};
   load(x, a);
   load(y, b);
+  if (kernel_ == Kernel::kIfma16) {
+    kernels::ifma_mul16(x.data(), x.data(), y.data(), n_.data(), n0inv_,
+                        r2_.data());
+    return store(x);
+  }
   mont_mul(x, x, r2_);  // a*R
   mont_mul(x, x, y);    // a*R * b * R^-1 = a*b
   return store(x);
@@ -559,6 +576,14 @@ BigInt Montgomery64::mul(const BigInt& a, const BigInt& b) const {
 BigInt Montgomery64::pow(const BigInt& base, const BigInt& exponent) const {
   const std::size_t bits = exponent.bit_length();
   if (bits == 0) return BigInt(1);  // n > 1
+  if (kernel_ == Kernel::kIfma16) {
+    Limbs x{};
+    load(x, base);
+    kernels::ifma_pow16({x.data(), x.data(), exponent.limbs_.data(),
+                         exponent.limbs_.size(), n_.data(), r2_.data(),
+                         n0inv_});
+    return store(x);
+  }
 
   // Odd powers b^1, b^3, ..., b^(2^w - 1) in Montgomery form.
   const std::size_t w = bits > 512 ? 5 : bits > 128 ? 4 : bits > 32 ? 3 : 1;
@@ -607,6 +632,48 @@ BigInt Montgomery64::pow(const BigInt& base, const BigInt& exponent) const {
   std::fill_n(t + k_, k_, 0);
   redc(acc, t);
   return store(acc);
+}
+
+MontgomeryPair::MontgomeryPair(const BigInt& p, const BigInt& q) {
+  const auto fits = [](const BigInt& n) {  // odd, 449 to 512 bits
+    return n.is_odd() && (n.limbs_.size() + 1) / 2 == 8;
+  };
+  if (!fits(p) || !fits(q) || !kernels::ifma_available()) {
+    separate_ = std::make_unique<const std::array<Montgomery64, 2>>(
+        std::array<Montgomery64, 2>{Montgomery64(p), Montgomery64(q)});
+    return;
+  }
+  halves_[0].modulus = p;
+  halves_[1].modulus = q;
+  for (Half& half : halves_) {
+    half.n0inv = mont_n0inv(half.modulus.limbs_[0] |
+                            std::uint64_t{half.modulus.limbs_[1]} << 32);
+    ((BigInt(1) << (2 * 52 * kernels::kIfmaPairDigits)) % half.modulus)
+        .to_words(half.rr.data(), 8);
+  }
+}
+
+std::array<BigInt, 2> MontgomeryPair::pow(const BigInt& base,
+                                          const BigInt& ep,
+                                          const BigInt& eq) const {
+  if (separate_) {
+    return {(*separate_)[0].pow(base, ep), (*separate_)[1].pow(base, eq)};
+  }
+  const BigInt* exponents[2] = {&ep, &eq};
+  std::array<std::uint64_t, 8> x[2];
+  std::array<std::uint64_t, 8> n[2];
+  kernels::IfmaPow ops[2];
+  for (std::size_t h = 0; h < 2; ++h) {
+    const Half& half = halves_[h];
+    half.modulus.to_words(n[h].data(), 8);
+    (base % half.modulus).to_words(x[h].data(), 8);
+    ops[h] = {x[h].data(), x[h].data(), exponents[h]->limbs_.data(),
+              exponents[h]->limbs_.size(), n[h].data(), half.rr.data(),
+              half.n0inv};
+  }
+  kernels::ifma_pow8x2(ops[0], ops[1]);
+  return {BigInt::from_words(x[0].data(), 8),
+          BigInt::from_words(x[1].data(), 8)};
 }
 
 BigInt BigInt::mod_exp(const BigInt& exponent, const BigInt& modulus) const {
@@ -727,7 +794,9 @@ bool BigInt::is_probable_prime(Rng& rng, int rounds) const {
 
 BigInt BigInt::generate_prime(Rng& rng, std::size_t bits, int mr_rounds) {
   if (bits < 8) throw std::invalid_argument("generate_prime: bits too small");
-  for (;;) {
+  // About one odd candidate in 0.35 * bits is prime, so 64 * bits misses
+  // in a row have odds of about e^-184 (below 2^-260) at any size.
+  for (std::size_t tries = 0; tries < 64 * bits; ++tries) {
     BigInt candidate = random_bits(rng, bits);
     // Force exact bit length (top two bits set) and oddness.
     candidate.limbs_.resize((bits + 31) / 32, 0);
@@ -741,6 +810,9 @@ BigInt BigInt::generate_prime(Rng& rng, std::size_t bits, int mr_rounds) {
     candidate.trim();
     if (candidate.is_probable_prime(rng, mr_rounds)) return candidate;
   }
+  throw std::runtime_error(
+      "generate_prime: no prime among the candidates; the modular "
+      "arithmetic is miscomputing");
 }
 
 }  // namespace et::crypto

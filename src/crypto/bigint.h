@@ -6,7 +6,9 @@
 // primality testing. Exponentiation modulo an odd modulus of up to 2048 bits
 // runs on Montgomery64, 64-bit-limb Montgomery arithmetic over
 // fixed-capacity stack arrays that allocates nothing per multiplication
-// (portable CIOS, or a MULX/ADX kernel for 512-bit moduli on x86-64).
+// (portable CIOS, or on x86-64 a MULX/ADX kernel for 512-bit moduli and an
+// AVX-512 IFMA kernel for 1024-bit ones). MontgomeryPair runs the two CRT
+// halves of an RSA private operation, in one lockstep IFMA pass where it can.
 //
 // NOT constant-time. This is a reproduction-quality implementation whose
 // purpose is to recreate the *cost structure* of the paper's BouncyCastle
@@ -17,6 +19,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -104,15 +107,22 @@ class BigInt {
   [[nodiscard]] bool is_probable_prime(Rng& rng, int rounds = 32) const;
 
   /// Generates a random prime with exactly `bits` bits (top two bits set so
-  /// products have full length, as RSA key generation requires).
+  /// products have full length, as RSA key generation requires). Tries at
+  /// most 64 * bits candidates, then throws std::runtime_error: a correct
+  /// primality test finds a prime long before (the odds of missing are
+  /// below 2^-260), so the throw means a miscomputing kernel.
   static BigInt generate_prime(Rng& rng, std::size_t bits, int mr_rounds = 32);
 
  private:
   void trim();
   static BigInt add_impl(const BigInt& a, const BigInt& b);
   static BigInt sub_impl(const BigInt& a, const BigInt& b);
+  /// The low 64k bits as k little-endian 64-bit limbs.
+  void to_words(std::uint64_t* out, std::size_t k) const;
+  static BigInt from_words(const std::uint64_t* x, std::size_t k);
 
   friend class Montgomery64;
+  friend class MontgomeryPair;
   std::vector<std::uint32_t> limbs_;  // little-endian, no trailing zeros
 };
 
@@ -129,13 +139,16 @@ struct DivMod {
 /// This one class serves the RSA public and CRT private operations,
 /// BigInt::mod_exp and Miller-Rabin. The kernel is chosen once, at
 /// construction (src/crypto/montgomery_kernels.h):
-///  - an 8-limb modulus (449 to 512 bits: each RSA-1024 CRT half) runs a
-///    MULX/ADCX/ADOX assembly kernel for both products and squares when
-///    the CPU reports BMI2 and ADX;
-///  - every other modulus, including the 16-limb RSA-1024 public
-///    operation, and any other CPU, runs the portable kernels: CIOS
-///    multiplication and square-then-reduce squaring on 128-bit products.
-/// Both give the same results bit for bit. Immutable after construction,
+///  - a 16-limb modulus (961 to 1024 bits: the RSA-1024 public operation
+///    behind every verify) runs the 1-way AVX-512 IFMA kernel, radix 2^52
+///    with R = 2^1040, when the CPU reports AVX512-IFMA and AVX512VL;
+///  - an 8-limb modulus (449 to 512 bits) runs a MULX/ADCX/ADOX assembly
+///    kernel for both products and squares when the CPU reports BMI2 and
+///    ADX;
+///  - every other modulus and any other CPU runs the portable kernels:
+///    CIOS multiplication and square-then-reduce squaring on 128-bit
+///    products.
+/// All give the same results bit for bit. Immutable after construction,
 /// so one instance may be shared across threads.
 class Montgomery64 {
  public:
@@ -145,7 +158,7 @@ class Montgomery64 {
   /// True when `modulus` is odd, > 1 and at most kMaxBits bits wide.
   static bool supports(const BigInt& modulus);
 
-  /// Precomputes -n^-1 mod 2^64 and R^2 mod n, with R = 2^(64 * limbs).
+  /// Precomputes -n^-1 mod 2^64 and R^2 mod n for the chosen kernel's R.
   /// Throws std::domain_error unless supports(modulus).
   explicit Montgomery64(const BigInt& modulus);
 
@@ -158,9 +171,13 @@ class Montgomery64 {
   [[nodiscard]] BigInt pow(const BigInt& base, const BigInt& exponent) const;
 
   /// True when this modulus runs the 8-limb MULX/ADX kernel.
-  [[nodiscard]] bool uses_mulx8() const { return mulx8_; }
+  [[nodiscard]] bool uses_mulx8() const { return kernel_ == Kernel::kMulx8; }
+  /// True when this modulus runs the 1-way IFMA kernel.
+  [[nodiscard]] bool uses_ifma() const { return kernel_ == Kernel::kIfma16; }
 
  private:
+  enum class Kernel : std::uint8_t { kPortable, kMulx8, kIfma16 };
+
   // Little-endian; only the low k_ limbs of a value are ever read.
   using Limbs = std::array<std::uint64_t, kMaxLimbs>;
 
@@ -176,10 +193,42 @@ class Montgomery64 {
   [[nodiscard]] BigInt store(const Limbs& x) const;
 
   Limbs n_{};
-  Limbs r2_{};               // R^2 mod n
+  Limbs r2_{};               // R^2 mod n: R = 2^1040 on kIfma16, else 2^(64k)
   std::uint64_t n0inv_ = 0;  // -n^-1 mod 2^64
   std::size_t k_ = 0;        // limb count of n
-  bool mulx8_ = false;       // mont_mul and mont_sqr run kernels::mont_mul8
+  Kernel kernel_ = Kernel::kPortable;
+};
+
+/// Exponentiation modulo two odd moduli at once: the two CRT halves of an
+/// RSA private operation. When both moduli have 8 limbs (449 to 512 bits)
+/// and the CPU reports AVX512-IFMA and AVX512VL, pow runs both
+/// exponentiations as one lockstep pass of the 2-way IFMA kernel (radix
+/// 2^52, R = 2^520), and only that kernel's constants are built. Otherwise
+/// each modulus gets its own Montgomery64. Results are the same bit for bit
+/// either way. Immutable after construction.
+class MontgomeryPair {
+ public:
+  /// Throws std::domain_error unless Montgomery64::supports both moduli.
+  MontgomeryPair(const BigInt& p, const BigInt& q);
+
+  /// {base^ep mod p, base^eq mod q}, for a base of any size.
+  [[nodiscard]] std::array<BigInt, 2> pow(const BigInt& base,
+                                          const BigInt& ep,
+                                          const BigInt& eq) const;
+
+  /// True when pow runs the lockstep IFMA kernel.
+  [[nodiscard]] bool lockstep() const { return separate_ == nullptr; }
+
+ private:
+  struct Half {
+    BigInt modulus;
+    std::array<std::uint64_t, 8> rr{};  // R^2 mod n, R = 2^520
+    std::uint64_t n0inv = 0;            // -n^-1 mod 2^64
+  };
+  std::array<Half, 2> halves_;  // the lockstep kernel's constants
+  // One Montgomery64 per modulus when the pair cannot run in lockstep;
+  // held apart so a lockstep pair stays a third of their size.
+  std::unique_ptr<const std::array<Montgomery64, 2>> separate_;
 };
 
 }  // namespace et::crypto

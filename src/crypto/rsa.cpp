@@ -127,24 +127,20 @@ RsaPublicKey RsaPublicKey::deserialize(BytesView b) {
 
 Bytes RsaPublicKey::fingerprint() const { return Sha1::digest(serialize()); }
 
-struct RsaPrivateKey::CrtKernels {
-  Montgomery64 p;
-  Montgomery64 q;
-};
-
 void RsaPrivateKey::precompute_crt() {
   crt_.reset();
   if (Montgomery64::supports(p_) && Montgomery64::supports(q_)) {
-    crt_ = std::make_shared<const CrtKernels>(
-        CrtKernels{Montgomery64(p_), Montgomery64(q_)});
+    crt_ = std::make_shared<const MontgomeryPair>(p_, q_);
   }
 }
 
 BigInt RsaPrivateKey::private_op(const BigInt& c) const {
   // CRT: m1 = c^dp mod p, m2 = c^dq mod q, h = qinv*(m1-m2) mod p,
-  // m = m2 + h*q.
-  const BigInt m1 = crt_ ? crt_->p.pow(c, dp_) : c.mod_exp(dp_, p_);
-  const BigInt m2 = crt_ ? crt_->q.pow(c, dq_) : c.mod_exp(dq_, q_);
+  // m = m2 + h*q. Both exponentiations run as one call, in lockstep when
+  // the pair's kernel allows.
+  const auto [m1, m2] =
+      crt_ ? crt_->pow(c, dp_, dq_)
+           : std::array<BigInt, 2>{c.mod_exp(dp_, p_), c.mod_exp(dq_, q_)};
   BigInt diff;
   if (m1 >= m2 % p_) {
     diff = m1 - (m2 % p_);

@@ -88,7 +88,8 @@ class RsaPublicKey {
 
 /// RSA private key with CRT acceleration. The Montgomery constants of p
 /// and q are computed once, when the key is generated or deserialized, and
-/// shared by its copies.
+/// shared by its copies. The two CRT exponentiations of a 1024-bit key run
+/// as one lockstep pass where the CPU allows (MontgomeryPair).
 class RsaPrivateKey {
  public:
   RsaPrivateKey() = default;
@@ -112,15 +113,14 @@ class RsaPrivateKey {
 
  private:
   friend struct RsaKeyPairFactory;
-  struct CrtKernels;
   RsaPublicKey pub_;
   BigInt d_;          // private exponent
   BigInt p_, q_;      // prime factors
   BigInt dp_, dq_;    // d mod (p-1), d mod (q-1)
   BigInt qinv_;       // q^{-1} mod p
-  // Montgomery64 kernels for p and q; null when a factor is one the kernel
+  // Montgomery kernels for p and q; null when a factor is one Montgomery64
   // does not support, which leaves private_op on BigInt::mod_exp.
-  std::shared_ptr<const CrtKernels> crt_;
+  std::shared_ptr<const MontgomeryPair> crt_;
 
   /// Builds crt_ from p_ and q_.
   void precompute_crt();

@@ -26,10 +26,7 @@ std::size_t symmetric_key_len(SymmetricAlg alg) {
 }
 
 SecretKey SecretKey::generate(Rng& rng, SymmetricAlg alg) {
-  SecretKey k;
-  k.alg_ = alg;
-  k.material_ = rng.next_bytes(symmetric_key_len(alg));
-  return k;
+  return from_material(rng.next_bytes(symmetric_key_len(alg)), alg);
 }
 
 SecretKey SecretKey::from_material(Bytes material, SymmetricAlg alg,
@@ -38,6 +35,7 @@ SecretKey SecretKey::from_material(Bytes material, SymmetricAlg alg,
     throw std::invalid_argument("SecretKey: material length mismatch");
   }
   SecretKey k;
+  k.cipher_ = std::make_shared<const Aes>(material);
   k.material_ = std::move(material);
   k.alg_ = alg;
   k.padding_ = padding;
@@ -46,14 +44,12 @@ SecretKey SecretKey::from_material(Bytes material, SymmetricAlg alg,
 
 Bytes SecretKey::encrypt(BytesView plaintext, Rng& rng) const {
   if (empty()) throw std::logic_error("SecretKey::encrypt: empty key");
-  const Aes cipher(material_);
-  return aes_cbc_encrypt(cipher, plaintext, rng);
+  return aes_cbc_encrypt(*cipher_, plaintext, rng);
 }
 
 Bytes SecretKey::decrypt(BytesView ciphertext) const {
   if (empty()) throw std::logic_error("SecretKey::decrypt: empty key");
-  const Aes cipher(material_);
-  return aes_cbc_decrypt(cipher, ciphertext);
+  return aes_cbc_decrypt(*cipher_, ciphertext);
 }
 
 Bytes SecretKey::serialize() const {

@@ -8,12 +8,15 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/common/bytes.h"
 #include "src/common/random.h"
 
 namespace et::crypto {
+
+class Aes;
 
 /// Symmetric cipher selection (all AES/CBC; key size varies).
 enum class SymmetricAlg : std::uint8_t {
@@ -31,6 +34,8 @@ std::string symmetric_alg_name(SymmetricAlg alg);
 std::size_t symmetric_key_len(SymmetricAlg alg);
 
 /// Key material + algorithm + padding, serializable for key distribution.
+/// The AES key schedule is expanded once, when the key is made, and shared
+/// by its copies.
 class SecretKey {
  public:
   SecretKey() = default;
@@ -55,12 +60,17 @@ class SecretKey {
   [[nodiscard]] Bytes serialize() const;
   static SecretKey deserialize(BytesView b);
 
-  friend bool operator==(const SecretKey&, const SecretKey&) = default;
+  /// Key identity: material, algorithm and padding.
+  friend bool operator==(const SecretKey& a, const SecretKey& b) {
+    return a.material_ == b.material_ && a.alg_ == b.alg_ &&
+           a.padding_ == b.padding_;
+  }
 
  private:
   Bytes material_;
   SymmetricAlg alg_ = SymmetricAlg::kAes192Cbc;
   PaddingScheme padding_ = PaddingScheme::kPkcs7;
+  std::shared_ptr<const Aes> cipher_;  // null only for an empty key
 };
 
 }  // namespace et::crypto

@@ -244,6 +244,21 @@ TEST(BigIntTest, GeneratePrimeHasExactBitLength) {
   EXPECT_TRUE(p.is_probable_prime(rng, 16));
 }
 
+// generate_prime gives up after 64 * bits candidates; a correct kernel
+// never gets near that, at any size the library generates.
+TEST(BigIntTest, GeneratePrimeSucceedsAcrossSeedsAndSizes) {
+  for (const std::size_t bits : {8u, 9u, 16u, 33u, 64u, 127u, 256u, 449u,
+                                 512u, 1024u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(1000 * seed + bits);
+      const BigInt p = BigInt::generate_prime(rng, bits, 8);
+      EXPECT_EQ(p.bit_length(), bits) << bits;
+      EXPECT_TRUE(p.bit(bits - 2)) << bits;  // top two bits set
+      EXPECT_TRUE(p.is_probable_prime(rng, 8)) << bits;
+    }
+  }
+}
+
 TEST(BigIntTest, RandomBelowIsBelow) {
   Rng rng(10);
   const BigInt bound = BigInt::parse("1000000007");
